@@ -100,21 +100,20 @@ def sample_pooled_stats(
             c = int(rng.integers(0, fmap.width - p_w + 1))
             values.append(float(fmap.data[:, r:r + p_h, c:c + p_w].mean()))
         return SampleSet(np.array(values), SampleLabel.TRAIN_PATCH)
-    if window is None:
-        for _ in range(n):
-            values.append(float(source(rng).data.mean()))
-        return SampleSet(np.array(values), SampleLabel.TEST_IMAGE)
-    while len(values) < n:
-        fmap = source(rng)
-        pooled = np.mean(
-            [local_aggregate(ch, PointwiseMap.IDENTITY, window) for ch in fmap.data],
-            axis=0,
-        )
-        take = min(pixels_per_map, n - len(values))
-        rows = rng.integers(0, pooled.shape[0], size=take)
-        cols = rng.integers(0, pooled.shape[1], size=take)
-        values.extend(pooled[rows, cols].tolist())
-    return SampleSet(np.array(values), SampleLabel.TEST_IMAGE_TLC)
+    if window is not None:
+        while len(values) < n:
+            fmap = source(rng)
+            # The windowed mean is linear: pooling the channel mean equals
+            # averaging the per-channel pooled maps.
+            pooled = local_aggregate(fmap.data.mean(axis=0), PointwiseMap.IDENTITY, window)
+            take = min(pixels_per_map, n - len(values))
+            rows = rng.integers(0, pooled.shape[0], size=take)
+            cols = rng.integers(0, pooled.shape[1], size=take)
+            values.extend(pooled[rows, cols].tolist())
+        return SampleSet(np.array(values), SampleLabel.TEST_IMAGE_TLC)
+    for _ in range(n):
+        values.append(float(source(rng).data.mean()))
+    return SampleSet(np.array(values), SampleLabel.TEST_IMAGE)
 
 
 def ks_distance(a: SampleSet, b: SampleSet) -> float:

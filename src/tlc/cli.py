@@ -131,10 +131,6 @@ def _window(args) -> WindowSpec:
 # --- params manifests --------------------------------------------------------
 
 
-def _load_manifest(path) -> dict[str, str]:
-    return _load_config(path)
-
-
 def _manifest_tensor(manifest: dict, key: str, base: Path) -> np.ndarray:
     if key not in manifest:
         raise DataError(f"params manifest missing key {key!r}")
@@ -171,26 +167,26 @@ def cmd_aggregate(args) -> int:
     if not args.input or not args.output:
         raise UsageError("aggregate needs --input and --output")
     window = _window(args)
-    x = read_tensor(args.input)
-
-    def per_channel(ch):
-        if args.stat == "mean":
-            if args.brute_force:
-                return brute_force_local_mean(ch, PointwiseMap.IDENTITY, window)
-            return local_aggregate(ch, PointwiseMap.IDENTITY, window)
-        if args.stat == "var":
-            if args.brute_force:
-                m = brute_force_local_mean(ch, PointwiseMap.IDENTITY, window)
-                sq = brute_force_local_mean(ch, PointwiseMap.SQUARE, window)
-                return np.maximum(sq - m * m, 0.0)
-            return local_mean_var(ch, window)[1]
-        if args.stat == "max":
-            return local_max(ch, window)
-        if args.stat == "strided-mean":
-            return strided_local_mean(ch, window, args.r)
+    data = read_tensor(args.input).data
+    if args.stat == "mean":
+        if args.brute_force:
+            stat = brute_force_local_mean(data, PointwiseMap.IDENTITY, window)
+        else:
+            stat = local_aggregate(data, PointwiseMap.IDENTITY, window)
+    elif args.stat == "var":
+        if args.brute_force:
+            m = brute_force_local_mean(data, PointwiseMap.IDENTITY, window)
+            sq = brute_force_local_mean(data, PointwiseMap.SQUARE, window)
+            stat = np.maximum(sq - m * m, 0.0)
+        else:
+            stat = local_mean_var(data, window)[1]
+    elif args.stat == "max":
+        stat = local_max(data, window)
+    elif args.stat == "strided-mean":
+        stat = strided_local_mean(data, window, args.r)
+    else:
         raise UsageError(f"unknown stat {args.stat!r}")
-
-    out = FeatureMap(np.stack([per_channel(ch) for ch in x.data]))
+    out = FeatureMap(stat)
     write_tensor(out, args.output)
     _write_csv(
         Path(args.output).with_suffix(".csv"),
@@ -228,7 +224,7 @@ def cmd_convert(args) -> int:
     if kind in ("se", "cbam", "in", "gn"):
         if not args.params:
             raise UsageError(f"module {kind!r} needs --params")
-        manifest = _load_manifest(args.params)
+        manifest = _load_config(args.params)
         base = Path(args.params).parent
         if kind in ("se", "cbam"):
             params = load_se_params(manifest, base)
@@ -254,18 +250,16 @@ def cmd_convert(args) -> int:
         ("host_macs", macs["host_macs"]),
         ("local_overhead", macs["overhead"]),
     ]
-    rows.extend(_crop_law_spot_checks(kind, x, params, window))
+    rows.extend(_crop_law_spot_checks(kind, x, params, window, out_local))
     _write_csv(outdir / "report.csv", ["key", "value"], rows)
     return EXIT_OK
 
 
-def _crop_law_spot_checks(kind, x: FeatureMap, params, window: WindowSpec, count=3):
+def _crop_law_spot_checks(kind, x: FeatureMap, params, window: WindowSpec,
+                          local_out: FeatureMap, count=3):
     """Local output at interior pixels vs the global module on the
-    centered crop; zero rows when no window fits fully inside."""
+    centered crop. The window is clamped to the map, so one always fits."""
     k_h, k_w = window.effective(x.height, x.width)
-    if k_h > x.height or k_w > x.width:
-        return []
-    local_out = _module_forward(kind, x, params, window)
     rows = []
     tops_r = np.linspace(0, x.height - k_h, num=count, dtype=int)
     tops_c = np.linspace(0, x.width - k_w, num=count, dtype=int)

@@ -68,29 +68,26 @@ def make_scene(
 def wiener_restore(noisy: FeatureMap, window: WindowSpec, local_noise: bool) -> FeatureMap:
     """Shrink toward the windowed mean with a Wiener gain.
 
-    local_noise=False estimates one noise power for the whole image;
-    True estimates it per pixel over the same window.
+    local_noise=False estimates one noise power per channel for the whole
+    image; True estimates it per pixel over the same window. Noiseless
+    channels pass through unchanged.
     """
-    out = np.empty_like(noisy.data)
-    small = WindowSpec(3, 3)
-    for c, y in enumerate(noisy.data):
-        mean, total_var = local_mean_var(y, window)
-        residual = y - local_aggregate(y, PointwiseMap.IDENTITY, small)
-        r2 = residual * residual
-        if float(np.median(r2)) < _NOISELESS_FRACTION * float(y.var()):
-            out[c] = y
-            continue
-        if local_noise:
-            noise_var = _RESIDUAL_CORRECTION * local_aggregate(
-                r2, PointwiseMap.IDENTITY, window
-            )
-        else:
-            noise_var = np.full_like(y, _RESIDUAL_CORRECTION * float(r2.mean()))
-        signal_var = np.maximum(total_var - noise_var, 0.0)
-        denom = signal_var + noise_var
-        gain = np.divide(signal_var, denom, out=np.ones_like(y), where=denom > 0)
-        out[c] = mean + gain * (y - mean)
-    return FeatureMap(out)
+    y = noisy.data
+    mean, total_var = local_mean_var(y, window)
+    residual = y - local_aggregate(y, PointwiseMap.IDENTITY, WindowSpec(3, 3))
+    r2 = residual * residual
+    noiseless = (np.median(r2, axis=(-2, -1), keepdims=True)
+                 < _NOISELESS_FRACTION * y.var(axis=(-2, -1), keepdims=True))
+    if local_noise:
+        noise_var = _RESIDUAL_CORRECTION * local_aggregate(
+            r2, PointwiseMap.IDENTITY, window
+        )
+    else:
+        noise_var = _RESIDUAL_CORRECTION * r2.mean(axis=(-2, -1), keepdims=True)
+    signal_var = np.maximum(total_var - noise_var, 0.0)
+    denom = signal_var + noise_var
+    gain = np.divide(signal_var, denom, out=np.ones_like(y), where=denom > 0)
+    return FeatureMap(np.where(noiseless, y, mean + gain * (y - mean)))
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ lookups per window), window maxima from a separable running-max filter,
 so the cost is O(HW) regardless of the window. Edge pixels get the
 replicated value of the nearest interior window center.
 
-All functions here operate on a single 2-D channel (float64); callers
-loop channels, which is embarrassingly parallel.
+Every kernel works on the last two axes of an array of any rank, so a
+(C, H, W) map is one call: leading axes are batch axes, and each slice
+along them gives bit for bit what a call on that 2-D slice alone gives.
+Accumulation is float64.
 """
 
 from __future__ import annotations
@@ -41,25 +43,28 @@ def global_aggregate(x: np.ndarray, f: PointwiseMap = PointwiseMap.IDENTITY) -> 
 
 
 def build_integral(x: np.ndarray, f: PointwiseMap = PointwiseMap.IDENTITY) -> np.ndarray:
-    """Summed-area table of f(x): shape (H+1, W+1), zero first row/col.
+    """Summed-area table of f(x): shape (..., H+1, W+1), zero first row/col.
 
-    table[p, q] = sum of f(x[:p, :q]); any rectangle sum is then four
-    lookups. Accumulation is float64.
+    table[..., p, q] = sum of f(x[..., :p, :q]); any rectangle sum is then
+    four lookups. Accumulation is float64.
     """
     x = np.asarray(x, dtype=np.float64)
-    h, w = x.shape
-    table = np.zeros((h + 1, w + 1), dtype=np.float64)
-    table[1:, 1:] = np.cumsum(np.cumsum(f.apply(x), axis=0), axis=1)
+    h, w = x.shape[-2:]
+    table = np.zeros(x.shape[:-2] + (h + 1, w + 1), dtype=np.float64)
+    # Both passes accumulate into the table itself, so neither cumsum allocates.
+    interior = table[..., 1:, 1:]
+    np.cumsum(f.apply(x), axis=-2, out=interior)
+    np.cumsum(interior, axis=-1, out=interior)
     return table
 
 
 def window_sums(table: np.ndarray, k_h: int, k_w: int) -> np.ndarray:
     """Sums of every fully-inside k_h x k_w window, via four lookups each."""
     return (
-        table[k_h:, k_w:]
-        - table[:-k_h, k_w:]
-        - table[k_h:, :-k_w]
-        + table[:-k_h, :-k_w]
+        table[..., k_h:, k_w:]
+        - table[..., :-k_h, k_w:]
+        - table[..., k_h:, :-k_w]
+        + table[..., :-k_h, :-k_w]
     )
 
 
@@ -68,13 +73,14 @@ def replicate_to_full(interior: np.ndarray, h: int, w: int, k_h: int, k_w: int) 
 
     The interior value for top-left t lands on the window center
     t + (k-1)//2, so the padding splits as (k-1)//2 before and the
-    remainder after.
+    remainder after. Leading axes are not padded.
     """
     top = (k_h - 1) // 2
     left = (k_w - 1) // 2
-    bottom = h - interior.shape[0] - top
-    right = w - interior.shape[1] - left
-    return np.pad(interior, ((top, bottom), (left, right)), mode="edge")
+    bottom = h - interior.shape[-2] - top
+    right = w - interior.shape[-1] - left
+    pad = [(0, 0)] * (interior.ndim - 2) + [(top, bottom), (left, right)]
+    return np.pad(interior, pad, mode="edge")
 
 
 def local_aggregate(
@@ -86,7 +92,7 @@ def local_aggregate(
     global mean at every pixel.
     """
     x = np.asarray(x, dtype=np.float64)
-    h, wid = x.shape
+    h, wid = x.shape[-2:]
     k_h, k_w = w.effective(h, wid)
     if k_h == 1 and k_w == 1:
         return f.apply(x).copy()  # identity window, exact
@@ -122,10 +128,10 @@ def _valid_running_max(x: np.ndarray, size: int, axis: int) -> np.ndarray:
 def local_max(x: np.ndarray, w: WindowSpec) -> np.ndarray:
     """Windowed maximum with the same placement/replication as local_aggregate."""
     x = np.asarray(x, dtype=np.float64)
-    h, wid = x.shape
+    h, wid = x.shape[-2:]
     k_h, k_w = w.effective(h, wid)
-    interior = _valid_running_max(x, k_w, axis=1)
-    interior = _valid_running_max(interior, k_h, axis=0)
+    interior = _valid_running_max(x, k_w, axis=-1)
+    interior = _valid_running_max(interior, k_h, axis=-2)
     return replicate_to_full(interior, h, wid, k_h, k_w)
 
 
@@ -141,10 +147,10 @@ def strided_local_mean(x: np.ndarray, w: WindowSpec, stride: int) -> np.ndarray:
     if stride == 1:
         return local_aggregate(x, PointwiseMap.IDENTITY, w)
     x = np.asarray(x, dtype=np.float64)
-    h, wid = x.shape
+    h, wid = x.shape[-2:]
     k_h, k_w = w.effective(h, wid)
-    sampled = x[::stride, ::stride]
-    hs, ws = sampled.shape
+    sampled = x[..., ::stride, ::stride]
+    hs, ws = sampled.shape[-2:]
     table = build_integral(sampled, PointwiseMap.IDENTITY)
 
     # Sampled indices p with t <= p*stride < t+k, for every valid top-left t.
@@ -162,10 +168,10 @@ def strided_local_mean(x: np.ndarray, w: WindowSpec, stride: int) -> np.ndarray:
             f"stride {stride} leaves windows of size ({k_h}, {k_w}) empty"
         )
     sums = (
-        table[row_hi[:, None], col_hi[None, :]]
-        - table[row_lo[:, None], col_hi[None, :]]
-        - table[row_hi[:, None], col_lo[None, :]]
-        + table[row_lo[:, None], col_lo[None, :]]
+        table[..., row_hi[:, None], col_hi[None, :]]
+        - table[..., row_lo[:, None], col_hi[None, :]]
+        - table[..., row_hi[:, None], col_lo[None, :]]
+        + table[..., row_lo[:, None], col_lo[None, :]]
     )
     interior = sums / counts
     return replicate_to_full(interior, h, wid, k_h, k_w)
@@ -175,11 +181,12 @@ def brute_force_local_mean(x: np.ndarray, f: PointwiseMap, w: WindowSpec) -> np.
     """O(HW * K^2) reference path: accumulate one shifted copy per window
     offset. Used for differential testing and the complexity benchmark."""
     x = np.asarray(x, dtype=np.float64)
-    h, wid = x.shape
+    h, wid = x.shape[-2:]
     k_h, k_w = w.effective(h, wid)
     fx = f.apply(x)
-    acc = np.zeros((h - k_h + 1, wid - k_w + 1), dtype=np.float64)
+    acc = np.zeros(x.shape[:-2] + (h - k_h + 1, wid - k_w + 1), dtype=np.float64)
+    n_h, n_w = acc.shape[-2:]
     for dy in range(k_h):
         for dx in range(k_w):
-            acc += fx[dy:dy + acc.shape[0], dx:dx + acc.shape[1]]
+            acc += fx[..., dy:dy + n_h, dx:dx + n_w]
     return replicate_to_full(acc / float(k_h * k_w), h, wid, k_h, k_w)

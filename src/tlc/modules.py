@@ -91,69 +91,56 @@ def _check_channels(x: FeatureMap, c: int):
         raise ShapeMismatch(f"feature map has {x.channels} channels, params want {c}")
 
 
-def _se_mlp(pooled: np.ndarray, p: SeParams) -> np.ndarray:
-    # pooled: (..., C) -> gate (..., C)
-    hidden = np.maximum(pooled @ p.reduce_weights, 0.0)
-    return _sigmoid(hidden @ p.expand_weights)
+def _pool(x: np.ndarray, window: WindowSpec | None) -> np.ndarray:
+    """Mean over the last two axes: the whole map (global mode, kept as
+    1 x 1 so it broadcasts) or the window around every pixel (local mode).
 
-
-def _channel_means(x: FeatureMap, window: WindowSpec | None) -> np.ndarray:
+    Both are averages, so they commute with any linear map over the
+    leading axes: pooling W.x equals W applied to the pooled x, up to
+    float rounding. Callers therefore apply their linear step first and
+    pool the fewer maps it yields.
+    """
     if window is None:
-        return x.data.mean(axis=(1, 2))  # (C,)
-    return np.stack(
-        [local_aggregate(ch, PointwiseMap.IDENTITY, window) for ch in x.data]
-    )  # (C, H, W)
+        return x.mean(axis=(-2, -1), keepdims=True)
+    return local_aggregate(x, PointwiseMap.IDENTITY, window)
+
+
+def _pool_max(x: np.ndarray, window: WindowSpec | None) -> np.ndarray:
+    """Maximum over the last two axes, globally or per window, as _pool."""
+    if window is None:
+        return x.max(axis=(-2, -1), keepdims=True)
+    return local_max(x, window)
 
 
 def se_forward(x: FeatureMap, p: SeParams, window: WindowSpec | None = None) -> FeatureMap:
     """Squeeze-and-excitation gating; local mode gates every pixel by the
     MLP of its windowed channel means."""
     _check_channels(x, p.channels)
-    pooled = _channel_means(x, window)
-    if window is None:
-        gate = _se_mlp(pooled, p)  # (C,)
-        return FeatureMap(x.data * gate[:, None, None])
-    c, h, w = pooled.shape
-    gate = _se_mlp(pooled.reshape(c, -1).T, p).T.reshape(c, h, w)
+    # tensordot over axis 0 applies (C_in, C_out) weights to (C_in, ...) maps.
+    hidden = _pool(np.tensordot(p.reduce_weights, x.data, axes=(0, 0)), window)
+    hidden = np.maximum(hidden, 0.0)
+    gate = _sigmoid(np.tensordot(p.expand_weights, hidden, axes=(0, 0)))
     return FeatureMap(x.data * gate)
 
 
 def norm_forward(x: FeatureMap, p: NormParams, window: WindowSpec | None = None) -> FeatureMap:
     """Instance/group normalization with affine.
 
-    Group statistics are means over the group's channels of per-channel
-    aggregates (spatially global or windowed), so groups=C gives IN.
+    Group statistics are aggregates (spatially global or windowed) of
+    the mean over the group's channels, so groups=C gives IN.
     """
     _check_channels(x, p.channels)
-    c = x.channels
-    gs = c // p.groups
-    grouped = x.data.reshape(p.groups, gs, x.height, x.width)
-    if window is None:
-        mu = grouped.mean(axis=(1, 2, 3), keepdims=True)
-        var = (grouped * grouped).mean(axis=(1, 2, 3), keepdims=True) - mu * mu
-        var = np.maximum(var, 0.0)
-    else:
-        mu = np.empty_like(grouped)
-        sq = np.empty_like(grouped)
-        for g in range(p.groups):
-            for i in range(gs):
-                ch = grouped[g, i]
-                mu[g, i] = local_aggregate(ch, PointwiseMap.IDENTITY, window)
-                sq[g, i] = local_aggregate(ch, PointwiseMap.SQUARE, window)
-        mu = mu.mean(axis=1, keepdims=True)
-        var = np.maximum(sq.mean(axis=1, keepdims=True) - mu * mu, 0.0)
-    normed = (grouped - mu) / np.sqrt(var + p.eps)
-    normed = normed.reshape(c, x.height, x.width)
-    out = normed * p.gamma[:, None, None] + p.beta[:, None, None]
-    return FeatureMap(out)
+    grouped = x.data.reshape(p.groups, -1, x.height, x.width)
+    mu = _pool(grouped.mean(axis=1, keepdims=True), window)
+    sq = _pool((grouped * grouped).mean(axis=1, keepdims=True), window)
+    var = np.maximum(sq - mu * mu, 0.0)
+    normed = ((grouped - mu) / np.sqrt(var + p.eps)).reshape(x.data.shape)
+    return FeatureMap(normed * p.gamma[:, None, None] + p.beta[:, None, None])
 
 
 def ge_forward(x: FeatureMap, window: WindowSpec | None = None) -> FeatureMap:
     """Parameter-free gather gate: sigmoid of the pooled channel mean."""
-    pooled = _channel_means(x, window)
-    if window is None:
-        return FeatureMap(x.data * _sigmoid(pooled)[:, None, None])
-    return FeatureMap(x.data * _sigmoid(pooled))
+    return FeatureMap(x.data * _sigmoid(_pool(x.data, window)))
 
 
 def cbam_channel_forward(
@@ -162,20 +149,12 @@ def cbam_channel_forward(
     """CBAM channel branch: shared MLP over avg-pooled and max-pooled
     statistics, summed before the sigmoid."""
     _check_channels(x, p.channels)
-    avg = _channel_means(x, window)
-    if window is None:
-        mx = x.data.max(axis=(1, 2))
-        hidden = np.maximum(avg @ p.reduce_weights, 0.0) @ p.expand_weights
-        hidden += np.maximum(mx @ p.reduce_weights, 0.0) @ p.expand_weights
-        gate = _sigmoid(hidden)
-        return FeatureMap(x.data * gate[:, None, None])
-    mx = np.stack([local_max(ch, window) for ch in x.data])
-    c, h, w = avg.shape
-    flat_avg = avg.reshape(c, -1).T
-    flat_max = mx.reshape(c, -1).T
-    pre = np.maximum(flat_avg @ p.reduce_weights, 0.0) @ p.expand_weights
-    pre += np.maximum(flat_max @ p.reduce_weights, 0.0) @ p.expand_weights
-    gate = _sigmoid(pre).T.reshape(c, h, w)
+    # Max does not commute with the projection, so that branch pools all C;
+    # the shared expand is linear, so it runs once on the summed branches.
+    avg = _pool(np.tensordot(p.reduce_weights, x.data, axes=(0, 0)), window)
+    mx = np.tensordot(p.reduce_weights, _pool_max(x.data, window), axes=(0, 0))
+    hidden = np.maximum(avg, 0.0) + np.maximum(mx, 0.0)
+    gate = _sigmoid(np.tensordot(p.expand_weights, hidden, axes=(0, 0)))
     return FeatureMap(x.data * gate)
 
 

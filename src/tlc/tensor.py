@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -51,6 +50,8 @@ class FeatureMap:
             raise ShapeMismatch(f"all dims must be positive, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise NonFiniteValue("feature map contains NaN or Inf")
+        # Freeze a view: the caller's own array stays writeable.
+        arr = arr.view()
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
@@ -67,17 +68,9 @@ class FeatureMap:
         return self.data.shape[2]
 
 
-class Alignment(Enum):
-    CENTERED = "centered"
-
-
-class EdgeMode(Enum):
-    REPLICATE_RESULT = "replicate-result"
-
-
 @dataclass(frozen=True)
 class WindowSpec:
-    """Local window size plus alignment/edge semantics.
+    """Local window size.
 
     The window is clamped to the map (effective size min(k, dim)), so a
     window at least as large as the map degenerates to the global
@@ -87,8 +80,6 @@ class WindowSpec:
 
     k_h: int
     k_w: int
-    alignment: Alignment = Alignment.CENTERED
-    edge_mode: EdgeMode = EdgeMode.REPLICATE_RESULT
 
     def __post_init__(self):
         if self.k_h < 1 or self.k_w < 1:

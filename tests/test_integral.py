@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlc.errors import EmptyWindowSample
 from tlc.integral import (
@@ -12,6 +14,7 @@ from tlc.integral import (
     local_aggregate,
     local_max,
     local_mean_var,
+    replicate_to_full,
     strided_local_mean,
     window_sums,
 )
@@ -209,3 +212,85 @@ def test_brute_force_reference_agrees(rng):
     a = brute_force_local_mean(x, PointwiseMap.IDENTITY, w)
     b = local_aggregate(x, PointwiseMap.IDENTITY, w)
     assert np.max(np.abs(a - b)) < 1e-9
+
+
+# --- (..., H, W) batching ----------------------------------------------------
+#
+# Every kernel called on a (C, H, W) stack must give, bit for bit, the
+# stack of its calls on each 2-D channel.
+
+BATCH_SETTINGS = settings(derandomize=True, deadline=None, database=None,
+                          max_examples=60)
+
+
+def _window_side(dim):
+    # k = 1, any k inside the map (even and odd), and k at or past the map.
+    return st.one_of(st.just(1), st.integers(1, dim), st.integers(dim, dim + 5))
+
+
+@st.composite
+def batched_case(draw):
+    c = draw(st.integers(1, 4))
+    h = draw(st.integers(1, 40))
+    w = draw(st.integers(1, 40))
+    offset = draw(st.floats(-1e3, 1e3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    x = np.random.default_rng(seed).standard_normal((c, h, w)) + offset
+    return x, WindowSpec(draw(_window_side(h)), draw(_window_side(w)))
+
+
+def _effective(x, w):
+    return w.effective(*x.shape[-2:])
+
+
+def _replicate_corner(x, w):
+    # The bottom-right valid-window-sized corner of x stands in for an interior.
+    k_h, k_w = _effective(x, w)
+    return replicate_to_full(x[..., k_h - 1:, k_w - 1:], *x.shape[-2:], k_h, k_w)
+
+
+BATCHED_KERNELS = {
+    "build_integral": lambda x, w: build_integral(x, PointwiseMap.SQUARE),
+    "window_sums": lambda x, w: window_sums(x, *_effective(x, w)),
+    "replicate_to_full": _replicate_corner,
+    "local_aggregate": lambda x, w: local_aggregate(x, PointwiseMap.IDENTITY, w),
+    "local_aggregate_square": lambda x, w: local_aggregate(x, PointwiseMap.SQUARE, w),
+    "local_mean_var": local_mean_var,
+    "local_max": local_max,
+    "brute_force_local_mean": lambda x, w: brute_force_local_mean(
+        x, PointwiseMap.SQUARE, w),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED_KERNELS))
+@BATCH_SETTINGS
+@given(case=batched_case())
+def test_batched_kernel_equals_stacked_channel_calls(name, case):
+    x, w = case
+    kernel = BATCHED_KERNELS[name]
+    got = kernel(x, w)
+    per_channel = [kernel(ch, w) for ch in x]
+    if isinstance(got, tuple):  # local_mean_var
+        for i, part in enumerate(got):
+            assert np.array_equal(part, np.stack([p[i] for p in per_channel]))
+    else:
+        assert np.array_equal(got, np.stack(per_channel))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except EmptyWindowSample:
+        return EmptyWindowSample
+
+
+@BATCH_SETTINGS
+@given(case=batched_case(), stride=st.integers(1, 3))
+def test_batched_strided_mean_equals_stacked_channel_calls(case, stride):
+    x, w = case
+    got = _outcome(lambda: strided_local_mean(x, w, stride))
+    per_channel = [_outcome(lambda: strided_local_mean(ch, w, stride)) for ch in x]
+    if got is EmptyWindowSample:
+        assert all(p is EmptyWindowSample for p in per_channel)
+    else:
+        assert np.array_equal(got, np.stack(per_channel))

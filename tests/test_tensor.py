@@ -132,3 +132,10 @@ def test_metric_report_invariant():
         MetricReport(mse=0.0, psnr_db=10.0)
     with pytest.raises(ValueError):
         MetricReport(mse=1.0, psnr_db=math.inf)
+
+
+def test_featuremap_leaves_caller_array_writeable():
+    arr = np.zeros((2, 3, 4))
+    m = FeatureMap(arr)
+    assert arr.flags.writeable
+    assert not m.data.flags.writeable
