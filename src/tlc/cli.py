@@ -234,7 +234,8 @@ def cmd_convert(args) -> int:
 
     out_global = _module_forward(kind, x, params, None)
     out_local = _module_forward(kind, x, params, window)
-    diff = FeatureMap(np.abs(out_global.data - out_local.data) + 0.0)
+    absdiff = np.subtract(out_global.data, out_local.data)
+    diff = FeatureMap(np.abs(absdiff, out=absdiff))
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

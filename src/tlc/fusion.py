@@ -151,17 +151,19 @@ def seam_metric(x: FeatureMap, plan: TilePlan) -> float:
             if 1 <= b <= h - 1:
                 edge_rows[b - 1] = True
 
-    dh = np.abs(np.diff(x.data, axis=2))  # (C, H, W-1), pair (j, j+1)
-    dv = np.abs(np.diff(x.data, axis=1))  # (C, H-1, W)
-    seam_vals, other_vals = [], []
-    if dh.size:
-        seam_vals.append(dh[:, :, edge_cols].ravel())
-        other_vals.append(dh[:, :, ~edge_cols].ravel())
-    if dv.size:
-        seam_vals.append(dv[:, edge_rows, :].ravel())
-        other_vals.append(dv[:, ~edge_rows, :].ravel())
-    seam = np.concatenate(seam_vals) if seam_vals else np.zeros(0)
-    other = np.concatenate(other_vals) if other_vals else np.zeros(0)
-    if seam.size == 0 or other.size == 0:
+    # Every pair across one column gap (row gap) is a seam pair or none
+    # is, so per-gap sums of |diff| and per-gap pair counts give both
+    # means without gathering the pairs.
+    n_ch = x.channels
+    dh = np.diff(x.data, axis=2)  # (C, H, W-1), pair (j, j+1)
+    col_sums = np.abs(dh, out=dh).sum(axis=(0, 1))
+    dv = np.diff(x.data, axis=1)  # (C, H-1, W)
+    row_sums = np.abs(dv, out=dv).sum(axis=(0, 2))
+    n_seam_cols, n_seam_rows = int(edge_cols.sum()), int(edge_rows.sum())
+    seam_n = n_ch * (h * n_seam_cols + w * n_seam_rows)
+    other_n = n_ch * (h * (w - 1 - n_seam_cols) + w * (h - 1 - n_seam_rows))
+    if seam_n == 0 or other_n == 0:
         return 0.0
-    return float(seam.mean() - other.mean())
+    seam = col_sums[edge_cols].sum() + row_sums[edge_rows].sum()
+    other = col_sums[~edge_cols].sum() + row_sums[~edge_rows].sum()
+    return float(seam / seam_n - other / other_n)

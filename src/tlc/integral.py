@@ -51,21 +51,22 @@ def build_integral(x: np.ndarray, f: PointwiseMap = PointwiseMap.IDENTITY) -> np
     x = np.asarray(x, dtype=np.float64)
     h, w = x.shape[-2:]
     table = np.zeros(x.shape[:-2] + (h + 1, w + 1), dtype=np.float64)
-    # Both passes accumulate into the table itself, so neither cumsum allocates.
+    # f(x) and both passes are written into the table itself, so nothing
+    # else of full size is allocated.
     interior = table[..., 1:, 1:]
-    np.cumsum(f.apply(x), axis=-2, out=interior)
+    if f is PointwiseMap.SQUARE:
+        x = np.multiply(x, x, out=interior)
+    np.cumsum(x, axis=-2, out=interior)
     np.cumsum(interior, axis=-1, out=interior)
     return table
 
 
 def window_sums(table: np.ndarray, k_h: int, k_w: int) -> np.ndarray:
     """Sums of every fully-inside k_h x k_w window, via four lookups each."""
-    return (
-        table[..., k_h:, k_w:]
-        - table[..., :-k_h, k_w:]
-        - table[..., k_h:, :-k_w]
-        + table[..., :-k_h, :-k_w]
-    )
+    sums = table[..., k_h:, k_w:] - table[..., :-k_h, k_w:]
+    sums -= table[..., k_h:, :-k_w]
+    sums += table[..., :-k_h, :-k_w]
+    return sums
 
 
 def replicate_to_full(interior: np.ndarray, h: int, w: int, k_h: int, k_w: int) -> np.ndarray:
@@ -95,9 +96,11 @@ def local_aggregate(
     h, wid = x.shape[-2:]
     k_h, k_w = w.effective(h, wid)
     if k_h == 1 and k_w == 1:
-        return f.apply(x).copy()  # identity window, exact
+        # Identity window, exact. SQUARE already returns a new array.
+        return x.copy() if f is PointwiseMap.IDENTITY else f.apply(x)
     table = build_integral(x, f)
-    interior = window_sums(table, k_h, k_w) / float(k_h * k_w)
+    interior = window_sums(table, k_h, k_w)
+    interior /= float(k_h * k_w)
     return replicate_to_full(interior, h, wid, k_h, k_w)
 
 
@@ -108,8 +111,9 @@ def local_mean_var(x: np.ndarray, w: WindowSpec) -> tuple[np.ndarray, np.ndarray
     slightly negative on near-constant windows.
     """
     mean = local_aggregate(x, PointwiseMap.IDENTITY, w)
-    sq = local_aggregate(x, PointwiseMap.SQUARE, w)
-    var = np.maximum(sq - mean * mean, 0.0)
+    var = local_aggregate(x, PointwiseMap.SQUARE, w)
+    var -= mean * mean
+    np.maximum(var, 0.0, out=var)
     return mean, var
 
 

@@ -25,8 +25,22 @@ from .integral import PointwiseMap, local_aggregate, local_max
 from .tensor import FeatureMap, WindowSpec
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def _gate(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """x * sigmoid(z), where z is a gate the caller has just computed.
+
+    Every step of 1 / (1 + exp(-z)) runs in z's own memory, and when the
+    gate is full size (local mode) the product lands there too: on a
+    full-resolution map each full-size temporary costs more than the
+    arithmetic it holds. z must therefore be an array no one else sees;
+    x is only read.
+    """
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.divide(1.0, z, out=z)
+    if z.shape == x.shape:
+        return np.multiply(x, z, out=z)
+    return x * z
 
 
 @dataclass(frozen=True)
@@ -119,8 +133,8 @@ def se_forward(x: FeatureMap, p: SeParams, window: WindowSpec | None = None) -> 
     # tensordot over axis 0 applies (C_in, C_out) weights to (C_in, ...) maps.
     hidden = _pool(np.tensordot(p.reduce_weights, x.data, axes=(0, 0)), window)
     hidden = np.maximum(hidden, 0.0)
-    gate = _sigmoid(np.tensordot(p.expand_weights, hidden, axes=(0, 0)))
-    return FeatureMap(x.data * gate)
+    gate = np.tensordot(p.expand_weights, hidden, axes=(0, 0))
+    return FeatureMap(_gate(x.data, gate))
 
 
 def norm_forward(x: FeatureMap, p: NormParams, window: WindowSpec | None = None) -> FeatureMap:
@@ -132,15 +146,23 @@ def norm_forward(x: FeatureMap, p: NormParams, window: WindowSpec | None = None)
     _check_channels(x, p.channels)
     grouped = x.data.reshape(p.groups, -1, x.height, x.width)
     mu = _pool(grouped.mean(axis=1, keepdims=True), window)
-    sq = _pool((grouped * grouped).mean(axis=1, keepdims=True), window)
-    var = np.maximum(sq - mu * mu, 0.0)
-    normed = ((grouped - mu) / np.sqrt(var + p.eps)).reshape(x.data.shape)
-    return FeatureMap(normed * p.gamma[:, None, None] + p.beta[:, None, None])
+    # sd starts as the pooled E[x^2] and becomes sqrt(var + eps) in place.
+    sd = _pool((grouped * grouped).mean(axis=1, keepdims=True), window)
+    sd -= mu * mu
+    np.maximum(sd, 0.0, out=sd)
+    sd += p.eps
+    np.sqrt(sd, out=sd)
+    normed = grouped - mu
+    normed /= sd
+    normed = normed.reshape(x.data.shape)
+    normed *= p.gamma[:, None, None]
+    normed += p.beta[:, None, None]
+    return FeatureMap(normed)
 
 
 def ge_forward(x: FeatureMap, window: WindowSpec | None = None) -> FeatureMap:
     """Parameter-free gather gate: sigmoid of the pooled channel mean."""
-    return FeatureMap(x.data * _sigmoid(_pool(x.data, window)))
+    return FeatureMap(_gate(x.data, _pool(x.data, window)))
 
 
 def cbam_channel_forward(
@@ -154,8 +176,8 @@ def cbam_channel_forward(
     avg = _pool(np.tensordot(p.reduce_weights, x.data, axes=(0, 0)), window)
     mx = np.tensordot(p.reduce_weights, _pool_max(x.data, window), axes=(0, 0))
     hidden = np.maximum(avg, 0.0) + np.maximum(mx, 0.0)
-    gate = _sigmoid(np.tensordot(p.expand_weights, hidden, axes=(0, 0)))
-    return FeatureMap(x.data * gate)
+    gate = np.tensordot(p.expand_weights, hidden, axes=(0, 0))
+    return FeatureMap(_gate(x.data, gate))
 
 
 # --- multiply-accumulate accounting -----------------------------------------

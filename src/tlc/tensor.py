@@ -7,6 +7,10 @@ File format (little-endian):
     then        C*H*W float32 values, row-major within channel,
                 channels outermost. No padding, no checksum.
 
+The payload is written in C order straight from one float32 copy of the
+map and read straight into one float32 array; no byte string of the
+payload is ever built.
+
 Values live on disk as float32; in memory everything is float64 so that
 window sums over large windows do not lose precision.
 """
@@ -14,6 +18,7 @@ window sums over large windows do not lose precision.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -103,39 +108,51 @@ class MetricReport:
 
 
 def read_tensor(path) -> FeatureMap:
-    """Read a TLCT file back into a FeatureMap, bit-exactly."""
+    """Read a TLCT file back into a FeatureMap, bit-exactly.
+
+    The header is validated, and the payload size checked against the
+    file's size, before anything is allocated for the payload, so a
+    corrupt header cannot ask for memory the file does not back. A pipe
+    has no size and is rejected as truncated. The payload is then read
+    straight into one float32 array; bytes past it are ignored.
+    """
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            raw = fh.read(_HEADER.size)
+            if len(raw) < _HEADER.size:
+                raise MalformedHeader(f"{path}: file shorter than header")
+            magic, version, c, h, w = _HEADER.unpack(raw)
+            if magic != MAGIC:
+                raise MalformedHeader(f"{path}: bad magic {magic!r}")
+            if version != VERSION:
+                raise MalformedHeader(f"{path}: unsupported version {version}")
+            if c < 1 or h < 1 or w < 1:
+                raise MalformedHeader(f"{path}: non-positive dims ({c}, {h}, {w})")
+            count = c * h * w
+            available = max(os.fstat(fh.fileno()).st_size - _HEADER.size, 0)
+            if available < 4 * count:
+                raise TruncatedPayload(
+                    f"{path}: expected {4 * count} payload bytes, got {available}"
+                )
+            values = np.empty(count, dtype="<f4")
+            got = fh.readinto(values)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if len(raw) < _HEADER.size:
-        raise MalformedHeader(f"{path}: file shorter than header")
-    magic, version, c, h, w = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise MalformedHeader(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise MalformedHeader(f"{path}: unsupported version {version}")
-    if c < 1 or h < 1 or w < 1:
-        raise MalformedHeader(f"{path}: non-positive dims ({c}, {h}, {w})")
-    count = c * h * w
-    payload = raw[_HEADER.size:]
-    if len(payload) < 4 * count:
+    if got < values.nbytes:  # the file shrank after the size check
         raise TruncatedPayload(
-            f"{path}: expected {4 * count} payload bytes, got {len(payload)}"
+            f"{path}: expected {values.nbytes} payload bytes, got {got}"
         )
-    values = np.frombuffer(payload[: 4 * count], dtype="<f4").astype(np.float64)
-    return FeatureMap(values.reshape(c, h, w))
+    return FeatureMap(values.astype(np.float64).reshape(c, h, w))
 
 
 def write_tensor(fmap: FeatureMap, path) -> None:
     """Write a FeatureMap as a TLCT file readable by read_tensor."""
     header = _HEADER.pack(MAGIC, VERSION, fmap.channels, fmap.height, fmap.width)
-    payload = fmap.data.astype("<f4").tobytes()
     try:
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(payload)
+            # tofile writes C order whatever the array's layout.
+            fmap.data.astype("<f4").tofile(fh)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

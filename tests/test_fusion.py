@@ -227,3 +227,48 @@ def test_seam_metric_block_constant_positive():
     img[:, :, 4:] = 3.0
     plan = plan_tiles(8, 8, (8, 4), (8, 4))
     assert seam_metric(FeatureMap(img), plan) > 0
+
+
+def _seam_metric_concatenation_oracle(x: np.ndarray, plan: TilePlan) -> float:
+    # Gathers every seam pair and every other pair, then takes both means.
+    h, w = plan.shape
+    k_h, k_w = plan.window
+    edge_cols = np.zeros(max(w - 1, 0), dtype=bool)
+    edge_rows = np.zeros(max(h - 1, 0), dtype=bool)
+    for r, c in plan.placements:
+        for b in (c, c + k_w):
+            if 1 <= b <= w - 1:
+                edge_cols[b - 1] = True
+        for b in (r, r + k_h):
+            if 1 <= b <= h - 1:
+                edge_rows[b - 1] = True
+    dh = np.abs(np.diff(x, axis=2))
+    dv = np.abs(np.diff(x, axis=1))
+    seam = np.concatenate([dh[:, :, edge_cols].ravel(), dv[:, edge_rows, :].ravel()])
+    other = np.concatenate([dh[:, :, ~edge_cols].ravel(), dv[:, ~edge_rows, :].ravel()])
+    if seam.size == 0 or other.size == 0:
+        return 0.0
+    return float(seam.mean() - other.mean())
+
+
+SEAM_PLANS = [
+    plan_tiles(24, 31, (8, 10), (5, 7)),
+    plan_tiles(16, 16, (16, 16), (16, 16)),  # one tile: no seam pairs
+    plan_tiles(6, 5, (1, 1), (1, 1)),  # every gap a seam: no other pairs
+    plan_tiles(1, 12, (1, 4), (1, 3)),
+    plan_tiles(12, 1, (4, 1), (3, 1)),
+    # Hand-built, not a grid: tiles of one size at scattered placements.
+    TilePlan(window=(6, 5), stride=(1, 1),
+             placements=((0, 0), (3, 4), (7, 1), (11, 9), (2, 8)),
+             shape=(17, 14)),
+]
+
+
+@pytest.mark.parametrize("plan", SEAM_PLANS)
+@pytest.mark.parametrize("seed", range(4))
+def test_seam_metric_matches_concatenation_oracle(plan, seed):
+    data = np.random.default_rng(seed).standard_normal((3,) + plan.shape)
+    data[:, ::2] *= 1.0 + seed  # give rows different scales
+    got = seam_metric(FeatureMap(data), plan)
+    want = _seam_metric_concatenation_oracle(data, plan)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))

@@ -294,3 +294,59 @@ def test_batched_strided_mean_equals_stacked_channel_calls(case, stride):
         assert all(p is EmptyWindowSample for p in per_channel)
     else:
         assert np.array_equal(got, np.stack(per_channel))
+
+
+# --- against a sliding_window_view reference ---------------------------------
+
+
+@st.composite
+def single_map_case(draw):
+    # 1 x N and N x 1 maps are drawn as often as any other height or width.
+    h = draw(st.one_of(st.just(1), st.integers(1, 40)))
+    w = draw(st.one_of(st.just(1), st.integers(1, 40)))
+    offset = draw(st.floats(-1e3, 1e3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    x = np.random.default_rng(seed).standard_normal((h, w)) + offset
+    return x, WindowSpec(draw(_window_side(h)), draw(_window_side(w)))
+
+
+def _sliding_reference(x, w, reduce):
+    # Reduce every valid window, then replicate by clipping indices onto
+    # the interior, placing top-left t at the center t + (k-1)//2.
+    h, wid = x.shape
+    k_h, k_w = w.effective(h, wid)
+    interior = reduce(np.lib.stride_tricks.sliding_window_view(x, (k_h, k_w)),
+                      axis=(-2, -1))
+    rows = np.clip(np.arange(h) - (k_h - 1) // 2, 0, interior.shape[0] - 1)
+    cols = np.clip(np.arange(wid) - (k_w - 1) // 2, 0, interior.shape[1] - 1)
+    return interior[np.ix_(rows, cols)]
+
+
+@pytest.mark.parametrize("f", list(PointwiseMap))
+@BATCH_SETTINGS
+@given(case=single_map_case())
+def test_local_aggregate_matches_sliding_window_mean(f, case):
+    x, w = case
+    fx = f.apply(x)
+    k_h, k_w = _effective(x, w)
+    got = local_aggregate(x, f, w)
+    want = _sliding_reference(fx, w, np.mean)
+    # Each table entry sums at most H*W terms and carries at most (H+W)
+    # roundings of a value no larger than sum |f(x)|; a window reads four.
+    tol = 4 * sum(x.shape) * np.finfo(np.float64).eps * np.abs(fx).sum() / (k_h * k_w)
+    assert np.max(np.abs(got - want)) <= tol
+
+
+@BATCH_SETTINGS
+@given(case=single_map_case())
+def test_local_max_matches_sliding_window_max(case):
+    x, w = case
+    assert np.array_equal(local_max(x, w), _sliding_reference(x, w, np.max))
+
+
+@BATCH_SETTINGS
+@given(case=single_map_case())
+def test_local_aggregate_square_is_identity_of_the_square(case):
+    x, w = case
+    assert np.array_equal(local_aggregate(x, PointwiseMap.SQUARE, w),
+                          local_aggregate(x * x, PointwiseMap.IDENTITY, w))

@@ -245,3 +245,15 @@ def test_norm_and_ge_have_no_overhead():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         module_macs("swish", 4, 4, 4)
+
+
+@pytest.mark.parametrize("kind", sorted(FORWARDS))
+@pytest.mark.parametrize("window", [None, WindowSpec(1, 1), WindowSpec(3, 4),
+                                    WindowSpec(50, 50)])
+def test_forward_leaves_caller_array_untouched(kind, window, rng, params):
+    arr = rng.standard_normal((4, 9, 11))
+    before = arr.tobytes()
+    out = FORWARDS[kind](FeatureMap(arr), params, window)
+    assert arr.flags.writeable
+    assert arr.tobytes() == before
+    assert not np.shares_memory(out.data, arr)

@@ -139,3 +139,23 @@ def test_featuremap_leaves_caller_array_writeable():
     m = FeatureMap(arr)
     assert arr.flags.writeable
     assert not m.data.flags.writeable
+
+
+def test_roundtrip_non_c_contiguous_maps(tmp_path, rng):
+    # The payload is C order whatever the layout of the map in memory.
+    values = rng.standard_normal((3, 5, 7)).astype(np.float32).astype(np.float64)
+    for name, arr in (("fortran", np.asfortranarray(values)),
+                      ("transposed", values.transpose(0, 2, 1))):
+        assert not arr.flags.c_contiguous
+        path = tmp_path / f"{name}.tlct"
+        write_tensor(FeatureMap(arr), path)
+        back = read_tensor(path)
+        assert back.data.shape == arr.shape
+        assert np.array_equal(back.data, arr)
+
+
+def test_header_only_file_is_truncated(tmp_path):
+    path = tmp_path / "header.tlct"
+    path.write_bytes(struct.pack("<4sIIII", b"TLCT", 1, 2, 3, 4))
+    with pytest.raises(TruncatedPayload):
+        read_tensor(path)
