@@ -339,24 +339,26 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal((512, 512))
     sizes = (8, 32, 128)
-    rows = []
-    best = {"integral": {}, "brute": {}}
+    paths = {}
     for k in sizes:
         w = WindowSpec(k, k)
-        for name, fn in (
-            ("integral", lambda: local_aggregate(x, PointwiseMap.IDENTITY, w)),
-            ("brute", lambda: brute_force_local_mean(x, PointwiseMap.IDENTITY, w)),
-        ):
-            fn()  # warmup, keeps single-rep runs out of cold-start noise
-            times = []
-            for _ in range(args.reps):
-                t0 = time.perf_counter()
-                fn()
-                times.append(time.perf_counter() - t0)
-            # Best-of-reps: scheduler noise only ever inflates timings.
-            t = min(times)
-            best[name][k] = t
-            rows.append((name, k, t))
+        paths[("integral", k)] = lambda w=w: local_aggregate(x, PointwiseMap.IDENTITY, w)
+        paths[("brute", k)] = lambda w=w: brute_force_local_mean(x, PointwiseMap.IDENTITY, w)
+    for fn in paths.values():
+        fn()  # warmup, keeps single-rep runs out of cold-start noise
+    times = {key: [] for key in paths}
+    # Round-robin over the sizes, one rep of each at a time, so a burst
+    # of machine noise slows every size a little rather than one a lot.
+    for _ in range(args.reps):
+        for key, fn in paths.items():
+            t0 = time.perf_counter()
+            fn()
+            times[key].append(time.perf_counter() - t0)
+    # Best-of-reps: scheduler noise only ever inflates timings.
+    rows = [(name, k, min(ts)) for (name, k), ts in times.items()]
+    best = {"integral": {}, "brute": {}}
+    for name, k, t in rows:
+        best[name][k] = t
     ratio_integral = max(best["integral"].values()) / min(best["integral"].values())
     ratio_brute = best["brute"][128] / best["brute"][8]
     rows.append(("integral_max_over_min", "-", ratio_integral))

@@ -11,6 +11,13 @@ Every kernel works on the last two axes of an array of any rank, so a
 (C, H, W) map is one call: leading axes are batch axes, and each slice
 along them gives bit for bit what a call on that 2-D slice alone gives.
 Accumulation is float64.
+
+``local_aggregate`` and ``local_max`` therefore run contiguous axis-0
+slices of a map of at least 2**20 values on one thread per core the
+process may use, each writing its part of one preallocated output;
+smaller maps, and calls made from those threads, stay on the calling
+thread. Results are bit-identical to a single-thread run. There is no
+setting for it, and BLAS threading is not touched.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from enum import Enum
 import numpy as np
 from scipy.ndimage import maximum_filter1d
 
+from ._parallel import leading_map
 from .errors import EmptyWindowSample
 from .tensor import WindowSpec
 
@@ -61,27 +69,72 @@ def build_integral(x: np.ndarray, f: PointwiseMap = PointwiseMap.IDENTITY) -> np
     return table
 
 
-def window_sums(table: np.ndarray, k_h: int, k_w: int) -> np.ndarray:
-    """Sums of every fully-inside k_h x k_w window, via four lookups each."""
-    sums = table[..., k_h:, k_w:] - table[..., :-k_h, k_w:]
+def window_sums(
+    table: np.ndarray, k_h: int, k_w: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Sums of every fully-inside k_h x k_w window, via four lookups each.
+
+    They are written into ``out`` when given, else into a new array.
+    """
+    sums = np.subtract(table[..., k_h:, k_w:], table[..., :-k_h, k_w:], out=out)
     sums -= table[..., k_h:, :-k_w]
     sums += table[..., :-k_h, :-k_w]
     return sums
 
 
-def replicate_to_full(interior: np.ndarray, h: int, w: int, k_h: int, k_w: int) -> np.ndarray:
+def replicate_to_full(
+    interior: np.ndarray, h: int, w: int, k_h: int, k_w: int,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Pad the valid-window result back to h x w by edge replication.
 
     The interior value for top-left t lands on the window center
     t + (k-1)//2, so the padding splits as (k-1)//2 before and the
-    remainder after. Leading axes are not padded.
+    remainder after. Leading axes are not padded. The full map is built
+    in ``out`` when given (shape (..., h, w)), else in a new array; an
+    interior that already is out's centre (see ``_centre``) is not
+    copied, and only the edges are filled in.
     """
+    if out is None:
+        out = np.empty(interior.shape[:-2] + (h, w), dtype=interior.dtype)
+    n_h, n_w = interior.shape[-2:]
     top = (k_h - 1) // 2
     left = (k_w - 1) // 2
-    bottom = h - interior.shape[-2] - top
-    right = w - interior.shape[-1] - left
-    pad = [(0, 0)] * (interior.ndim - 2) + [(top, bottom), (left, right)]
-    return np.pad(interior, pad, mode="edge")
+    centre = _centre(out, n_h, n_w, k_h, k_w)
+    if not _same_view(centre, interior):
+        centre[...] = interior
+    # Rows first, over the centre's columns, then whole columns, which
+    # fills the corners from the replicated rows.
+    out[..., :top, left:left + n_w] = centre[..., :1, :]
+    out[..., top + n_h:, left:left + n_w] = centre[..., -1:, :]
+    out[..., :left] = out[..., left:left + 1]
+    out[..., left + n_w:] = out[..., left + n_w - 1:left + n_w]
+    return out
+
+
+def _centre(full: np.ndarray, n_h: int, n_w: int, k_h: int, k_w: int) -> np.ndarray:
+    """The view of a full map where replicate_to_full puts an n_h x n_w interior."""
+    top = (k_h - 1) // 2
+    left = (k_w - 1) // 2
+    return full[..., top:top + n_h, left:left + n_w]
+
+
+def _same_view(a: np.ndarray, b: np.ndarray) -> bool:
+    return (a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
+            and a.shape == b.shape and a.strides == b.strides)
+
+
+def _aggregate(x: np.ndarray, f: PointwiseMap, k_h: int, k_w: int,
+               out: np.ndarray | None) -> np.ndarray:
+    h, w = x.shape[-2:]
+    table = build_integral(x, f)
+    if out is None:
+        out = np.empty(x.shape)
+    # The window sums land in the centre of the output itself, so the
+    # edge replication only fills in the border.
+    centre = window_sums(table, k_h, k_w, out=_centre(out, h - k_h + 1, w - k_w + 1, k_h, k_w))
+    centre /= float(k_h * k_w)
+    return replicate_to_full(centre, h, w, k_h, k_w, out=out)
 
 
 def local_aggregate(
@@ -98,10 +151,7 @@ def local_aggregate(
     if k_h == 1 and k_w == 1:
         # Identity window, exact. SQUARE already returns a new array.
         return x.copy() if f is PointwiseMap.IDENTITY else f.apply(x)
-    table = build_integral(x, f)
-    interior = window_sums(table, k_h, k_w)
-    interior /= float(k_h * k_w)
-    return replicate_to_full(interior, h, wid, k_h, k_w)
+    return leading_map(lambda xs, out: _aggregate(xs, f, k_h, k_w, out), x)
 
 
 def local_mean_var(x: np.ndarray, w: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -129,14 +179,17 @@ def _valid_running_max(x: np.ndarray, size: int, axis: int) -> np.ndarray:
     return y[tuple(sl)]
 
 
+def _max(x: np.ndarray, k_h: int, k_w: int, out: np.ndarray | None) -> np.ndarray:
+    interior = _valid_running_max(x, k_w, axis=-1)
+    interior = _valid_running_max(interior, k_h, axis=-2)
+    return replicate_to_full(interior, x.shape[-2], x.shape[-1], k_h, k_w, out=out)
+
+
 def local_max(x: np.ndarray, w: WindowSpec) -> np.ndarray:
     """Windowed maximum with the same placement/replication as local_aggregate."""
     x = np.asarray(x, dtype=np.float64)
-    h, wid = x.shape[-2:]
-    k_h, k_w = w.effective(h, wid)
-    interior = _valid_running_max(x, k_w, axis=-1)
-    interior = _valid_running_max(interior, k_h, axis=-2)
-    return replicate_to_full(interior, h, wid, k_h, k_w)
+    k_h, k_w = w.effective(*x.shape[-2:])
+    return leading_map(lambda xs, out: _max(xs, k_h, k_w, out), x)
 
 
 def strided_local_mean(x: np.ndarray, w: WindowSpec, stride: int) -> np.ndarray:

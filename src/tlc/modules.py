@@ -20,27 +20,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import leading_map
 from .errors import InvalidGroupCount, ShapeMismatch
 from .integral import PointwiseMap, local_aggregate, local_max
 from .tensor import FeatureMap, WindowSpec
 
 
-def _gate(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _gate(x: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """x * sigmoid(z), where z is a gate the caller has just computed.
 
     Every step of 1 / (1 + exp(-z)) runs in z's own memory, and when the
-    gate is full size (local mode) the product lands there too: on a
-    full-resolution map each full-size temporary costs more than the
-    arithmetic it holds. z must therefore be an array no one else sees;
-    x is only read.
+    gate is full size (local mode) the product lands there too, unless
+    ``out`` is given: on a full-resolution map each full-size temporary
+    costs more than the arithmetic it holds. z must therefore be an
+    array no one else sees; x is only read. The work runs per channel
+    slice.
     """
+    if out is None and z.shape == x.shape:
+        out = z
+    return leading_map(_sigmoid_times, x, z, out=out)
+
+
+def _sigmoid_times(x: np.ndarray, z: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     np.negative(z, out=z)
     np.exp(z, out=z)
     z += 1.0
     np.divide(1.0, z, out=z)
-    if z.shape == x.shape:
-        return np.multiply(x, z, out=z)
-    return x * z
+    return np.multiply(x, z, out=out)
 
 
 @dataclass(frozen=True)
@@ -105,9 +111,12 @@ def _check_channels(x: FeatureMap, c: int):
         raise ShapeMismatch(f"feature map has {x.channels} channels, params want {c}")
 
 
-def _pool(x: np.ndarray, window: WindowSpec | None) -> np.ndarray:
-    """Mean over the last two axes: the whole map (global mode, kept as
-    1 x 1 so it broadcasts) or the window around every pixel (local mode).
+def _pool(
+    x: np.ndarray, window: WindowSpec | None, f: PointwiseMap = PointwiseMap.IDENTITY
+) -> np.ndarray:
+    """Mean of f(x) over the last two axes: the whole map (global mode,
+    kept as 1 x 1 so it broadcasts) or the window around every pixel
+    (local mode).
 
     Both are averages, so they commute with any linear map over the
     leading axes: pooling W.x equals W applied to the pooled x, up to
@@ -115,8 +124,8 @@ def _pool(x: np.ndarray, window: WindowSpec | None) -> np.ndarray:
     pool the fewer maps it yields.
     """
     if window is None:
-        return x.mean(axis=(-2, -1), keepdims=True)
-    return local_aggregate(x, PointwiseMap.IDENTITY, window)
+        return f.apply(x).mean(axis=(-2, -1), keepdims=True)
+    return local_aggregate(x, f, window)
 
 
 def _pool_max(x: np.ndarray, window: WindowSpec | None) -> np.ndarray:
@@ -141,28 +150,43 @@ def norm_forward(x: FeatureMap, p: NormParams, window: WindowSpec | None = None)
     """Instance/group normalization with affine.
 
     Group statistics are aggregates (spatially global or windowed) of
-    the mean over the group's channels, so groups=C gives IN.
+    the mean over the group's channels, so groups=C gives IN. Groups
+    are normalized one slice of groups per core.
     """
     _check_channels(x, p.channels)
+    per_group = (p.groups, -1, 1, 1)
     grouped = x.data.reshape(p.groups, -1, x.height, x.width)
-    mu = _pool(grouped.mean(axis=1, keepdims=True), window)
-    # sd starts as the pooled E[x^2] and becomes sqrt(var + eps) in place.
-    sd = _pool((grouped * grouped).mean(axis=1, keepdims=True), window)
-    sd -= mu * mu
-    np.maximum(sd, 0.0, out=sd)
-    sd += p.eps
-    np.sqrt(sd, out=sd)
-    normed = grouped - mu
-    normed /= sd
-    normed = normed.reshape(x.data.shape)
-    normed *= p.gamma[:, None, None]
-    normed += p.beta[:, None, None]
-    return FeatureMap(normed)
+
+    def body(g, gamma, beta, out):
+        if g.shape[1] == 1:
+            # IN: the group mean is the channel itself, and local mode
+            # squares straight into the summed-area table.
+            mu = _pool(g, window)
+            sd = _pool(g, window, PointwiseMap.SQUARE)
+        else:
+            mu = _pool(g.mean(axis=1, keepdims=True), window)
+            sd = _pool((g * g).mean(axis=1, keepdims=True), window)
+        # sd starts as the pooled E[x^2] and becomes sqrt(var + eps) in place.
+        sd -= mu * mu
+        np.maximum(sd, 0.0, out=sd)
+        sd += p.eps
+        np.sqrt(sd, out=sd)
+        # The output is allocated only now, after the statistics.
+        normed = np.subtract(g, mu, out=out)
+        normed /= sd
+        normed *= gamma
+        normed += beta
+        return normed
+
+    normed = leading_map(body, grouped, p.gamma.reshape(per_group),
+                         p.beta.reshape(per_group))
+    return FeatureMap(normed.reshape(x.data.shape))
 
 
 def ge_forward(x: FeatureMap, window: WindowSpec | None = None) -> FeatureMap:
-    """Parameter-free gather gate: sigmoid of the pooled channel mean."""
-    return FeatureMap(_gate(x.data, _pool(x.data, window)))
+    """Parameter-free gather gate: sigmoid of the pooled channel mean,
+    pooled and gated one slice of channels per core."""
+    return FeatureMap(leading_map(lambda xs, out: _gate(xs, _pool(xs, window), out), x.data))
 
 
 def cbam_channel_forward(

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import leading_map
 from .errors import (
     IoFailure,
     MalformedHeader,
@@ -35,6 +36,12 @@ from .errors import (
 MAGIC = b"TLCT"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIII")
+
+
+def _finite_channels(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # One flag per channel; the bool temporary is only slice-sized when
+    # the map is split.
+    return np.all(np.isfinite(x), axis=(-2, -1), out=out)
 
 
 @dataclass(frozen=True)
@@ -53,7 +60,8 @@ class FeatureMap:
             raise ShapeMismatch(f"expected (C, H, W), got shape {arr.shape}")
         if any(d < 1 for d in arr.shape):
             raise ShapeMismatch(f"all dims must be positive, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        finite = leading_map(_finite_channels, arr, out=np.empty(arr.shape[0], dtype=bool))
+        if not finite.all():
             raise NonFiniteValue("feature map contains NaN or Inf")
         # Freeze a view: the caller's own array stays writeable.
         arr = arr.view()
