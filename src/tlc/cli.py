@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, demo, fusion, modules
+from ._parallel import leading_map
 from .errors import DataError, IoFailure, TlcError
 from .integral import (
     PointwiseMap,
@@ -166,6 +167,8 @@ def cmd_aggregate(args) -> int:
     _apply_config(args, {"k": [384, 384], "stat": "mean", "r": 1})
     if not args.input or not args.output:
         raise UsageError("aggregate needs --input and --output")
+    if args.brute_force and args.stat not in ("mean", "var"):
+        raise UsageError(f"--brute-force has no path for --stat {args.stat}")
     window = _window(args)
     data = read_tensor(args.input).data
     if args.stat == "mean":
@@ -234,8 +237,10 @@ def cmd_convert(args) -> int:
 
     out_global = _module_forward(kind, x, params, None)
     out_local = _module_forward(kind, x, params, window)
-    absdiff = np.subtract(out_global.data, out_local.data)
-    diff = FeatureMap(np.abs(absdiff, out=absdiff))
+    # |global - local| and each channel's maximum, one block at a time.
+    channel_max = np.empty(x.channels)
+    diff = FeatureMap(leading_map(_absdiff_max, out_global.data, out_local.data,
+                                  channel_max, out=np.empty(out_global.data.shape)))
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -245,7 +250,7 @@ def cmd_convert(args) -> int:
 
     macs = modules.module_macs(kind, x.channels, x.height, x.width, ratio)
     rows = [
-        ("max_abs_diff", float(diff.data.max())),
+        ("max_abs_diff", float(channel_max.max())),
         ("global_macs", macs["global_macs"]),
         ("local_macs", macs["local_macs"]),
         ("host_macs", macs["host_macs"]),
@@ -254,6 +259,15 @@ def cmd_convert(args) -> int:
     rows.extend(_crop_law_spot_checks(kind, x, params, window, out_local))
     _write_csv(outdir / "report.csv", ["key", "value"], rows)
     return EXIT_OK
+
+
+def _absdiff_max(a: np.ndarray, b: np.ndarray, channel_max: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    # Fills channel_max, a view into the caller's array, as a side effect.
+    np.subtract(a, b, out=out)
+    np.abs(out, out=out)
+    np.max(out, axis=(-2, -1), out=channel_max)
+    return out
 
 
 def _crop_law_spot_checks(kind, x: FeatureMap, params, window: WindowSpec,
@@ -456,7 +470,7 @@ def build_parser() -> _Parser:
                    default=None)
     p.add_argument("--r", type=int, default=None, help="stride for strided-mean")
     p.add_argument("--brute-force", action="store_true",
-                   help="use the O(K^2)-per-pixel reference path")
+                   help="use the O(K^2)-per-pixel reference path (--stat mean, var)")
     p.set_defaults(func=cmd_aggregate)
 
     p = sub.add_parser("convert", help="run a module in global and local mode")

@@ -12,12 +12,15 @@ Every kernel works on the last two axes of an array of any rank, so a
 along them gives bit for bit what a call on that 2-D slice alone gives.
 Accumulation is float64.
 
-``local_aggregate`` and ``local_max`` therefore run contiguous axis-0
-slices of a map of at least 2**20 values on one thread per core the
-process may use, each writing its part of one preallocated output;
-smaller maps, and calls made from those threads, stay on the calling
-thread. Results are bit-identical to a single-thread run. There is no
-setting for it, and BLAS threading is not touched.
+``local_aggregate``, ``local_max`` and the variance step of
+``local_mean_var`` therefore cut a map of at least 2**20 values along
+axis 0 into blocks of whole rows, at most 2**19 values each unless one
+row is larger, and never fewer blocks than cores. The blocks run in
+order on one thread per core the process may use, each writing its part
+of one preallocated output; smaller maps, and calls made from those
+threads, stay on the calling thread. Results are bit-identical to a
+single-thread run. There is no setting for it, and BLAS threading is
+not touched.
 """
 
 from __future__ import annotations
@@ -162,9 +165,16 @@ def local_mean_var(x: np.ndarray, w: WindowSpec) -> tuple[np.ndarray, np.ndarray
     """
     mean = local_aggregate(x, PointwiseMap.IDENTITY, w)
     var = local_aggregate(x, PointwiseMap.SQUARE, w)
-    var -= mean * mean
-    np.maximum(var, 0.0, out=var)
-    return mean, var
+    if w.effective(*var.shape[-2:]) == (1, 1):
+        # An identity window stays on this thread, as local_aggregate's
+        # copy does.
+        return mean, _subtract_square_clamp(var, mean, var)
+    return mean, leading_map(_subtract_square_clamp, var, mean, out=var)
+
+
+def _subtract_square_clamp(sq: np.ndarray, mean: np.ndarray, out: np.ndarray) -> np.ndarray:
+    out = np.subtract(sq, mean * mean, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 def _valid_running_max(x: np.ndarray, size: int, axis: int) -> np.ndarray:

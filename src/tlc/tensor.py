@@ -7,9 +7,10 @@ File format (little-endian):
     then        C*H*W float32 values, row-major within channel,
                 channels outermost. No padding, no checksum.
 
-The payload is written in C order straight from one float32 copy of the
-map and read straight into one float32 array; no byte string of the
-payload is ever built.
+The payload is converted to one float32 buffer and written in C order
+with one call, and read straight into one float32 array that is then
+converted to float64; no byte string of the payload is ever built. Both
+conversions run in channel blocks on every core (``_parallel``).
 
 Values live on disk as float32; in memory everything is float64 so that
 window sums over large windows do not lose precision.
@@ -38,9 +39,15 @@ VERSION = 1
 _HEADER = struct.Struct("<4sIIII")
 
 
+def _convert(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # The TLCT float32 <-> float64 conversion, one block at a time.
+    np.copyto(out, x)
+    return out
+
+
 def _finite_channels(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # One flag per channel; the bool temporary is only slice-sized when
-    # the map is split.
+    # One flag per channel; the bool temporary is only block-sized when
+    # the map is cut into blocks.
     return np.all(np.isfinite(x), axis=(-2, -1), out=out)
 
 
@@ -122,7 +129,8 @@ def read_tensor(path) -> FeatureMap:
     file's size, before anything is allocated for the payload, so a
     corrupt header cannot ask for memory the file does not back. A pipe
     has no size and is rejected as truncated. The payload is then read
-    straight into one float32 array; bytes past it are ignored.
+    straight into one float32 array and converted to float64 block by
+    block; bytes past it are ignored.
     """
     try:
         with open(path, "rb") as fh:
@@ -150,17 +158,21 @@ def read_tensor(path) -> FeatureMap:
         raise TruncatedPayload(
             f"{path}: expected {values.nbytes} payload bytes, got {got}"
         )
-    return FeatureMap(values.astype(np.float64).reshape(c, h, w))
+    values = values.reshape(c, h, w)
+    return FeatureMap(leading_map(_convert, values, out=np.empty(values.shape)))
 
 
 def write_tensor(fmap: FeatureMap, path) -> None:
     """Write a FeatureMap as a TLCT file readable by read_tensor."""
     header = _HEADER.pack(MAGIC, VERSION, fmap.channels, fmap.height, fmap.width)
+    # One C-ordered float32 buffer, filled block by block whatever the
+    # map's layout, then one write: writing block by block is slower,
+    # since page-cache writeback bounds it.
+    payload = leading_map(_convert, fmap.data, out=np.empty(fmap.data.shape, dtype="<f4"))
     try:
         with open(path, "wb") as fh:
             fh.write(header)
-            # tofile writes C order whatever the array's layout.
-            fmap.data.astype("<f4").tofile(fh)
+            payload.tofile(fh)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

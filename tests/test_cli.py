@@ -236,3 +236,13 @@ def test_input_files_not_mutated(tmp_path, rng):
     main(["aggregate", "--input", str(inp), "--output", str(tmp_path / "o.tlct"),
           "--stat", "mean", "--k", "3", "3"])
     assert inp.read_bytes() == before
+
+
+@pytest.mark.parametrize("stat", ["max", "strided-mean"])
+def test_brute_force_without_a_brute_path_is_a_usage_error(tmp_path, rng, capsys, stat):
+    inp = save_map(tmp_path, rng.standard_normal((1, 8, 8)))
+    out = tmp_path / "o.tlct"
+    assert main(["aggregate", "--input", str(inp), "--output", str(out),
+                 "--stat", stat, "--k", "3", "3", "--brute-force"]) == 1
+    assert "--brute-force" in capsys.readouterr().err
+    assert not out.exists()
