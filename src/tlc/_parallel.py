@@ -1,5 +1,6 @@
-"""Leading-axis blocked map for the windowed kernels, the module bodies,
-the FeatureMap check and the TLCT payload conversion.
+"""Leading-axis blocked map for the windowed kernels, the module bodies
+and the FeatureMap check, and the block size that TLCT I/O buffers
+share.
 
 An array of shape (N, ..., H, W) of at least 2**20 values is cut along
 axis 0 into contiguous blocks of whole rows of a few megabytes each,
@@ -16,6 +17,7 @@ threading (``tensordot``) is not touched.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -76,6 +78,12 @@ def _executor() -> ThreadPoolExecutor:
         return _pool
 
 
+def block_rows(shape) -> int:
+    """Rows of axis 0 in one block of an array of this shape: as many
+    whole rows as fit in the block size, at least one."""
+    return max(1, _BLOCK_VALUES // math.prod(shape[1:]))
+
+
 def leading_map(fn, *arrays, out=None):
     """Return fn(*arrays, out), computed in axis-0 blocks on the pool.
 
@@ -84,8 +92,8 @@ def leading_map(fn, *arrays, out=None):
     it allocates and returns its own result. Blocked work writes into
     ``out``, allocated as float64 of arrays[0]'s shape when not given.
 
-    A block holds as many whole rows as fit in the block size, at least
-    one, and never so many that there are fewer blocks than workers.
+    A block holds block_rows(arrays[0].shape) rows, but never so many,
+    beyond one, that there are fewer blocks than workers.
 
     The whole call runs once on the caller's thread, with out as given,
     when arrays[0] has fewer than three axes (axis 0 is then a row
@@ -100,7 +108,7 @@ def leading_map(fn, *arrays, out=None):
         return fn(*arrays, out)
     if out is None:
         out = np.empty(lead.shape)
-    rows = max(1, min(_BLOCK_VALUES // (lead.size // n), n // _WORKERS))
+    rows = max(1, min(block_rows(lead.shape), n // _WORKERS))
     pool = _executor()
     futures = [
         pool.submit(fn, *(a[lo:lo + rows] for a in arrays), out[lo:lo + rows])

@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, demo, fusion, modules
-from ._parallel import leading_map
 from .errors import DataError, IoFailure, TlcError
 from .integral import (
     PointwiseMap,
@@ -32,7 +31,7 @@ from .integral import (
     local_mean_var,
     strided_local_mean,
 )
-from .tensor import FeatureMap, WindowSpec, psnr, read_tensor, write_tensor
+from .tensor import FeatureMap, WindowSpec, _write_tlct, psnr, read_tensor, write_tensor
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -87,6 +86,12 @@ def _load_config(path) -> dict[str, str]:
     return cfg
 
 
+def _switch(s: str) -> bool:
+    if s not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {s!r}")
+    return s == "1"
+
+
 _CONVERTERS = {
     "k": lambda s: [int(t) for t in s.replace(",", " ").split()],
     "stride": lambda s: [int(t) for t in s.replace(",", " ").split()],
@@ -98,6 +103,7 @@ _CONVERTERS = {
     "groups": int,
     "temperature": float,
     "calib": lambda s: [int(t) for t in s.replace(",", " ").split()],
+    "brute_force": _switch,
 }
 
 
@@ -164,7 +170,8 @@ def load_norm_params(manifest: dict, base: Path, kind: str) -> modules.NormParam
 
 
 def cmd_aggregate(args) -> int:
-    _apply_config(args, {"k": [384, 384], "stat": "mean", "r": 1})
+    _apply_config(args, {"k": [384, 384], "stat": "mean", "r": 1,
+                         "brute_force": False})
     if not args.input or not args.output:
         raise UsageError("aggregate needs --input and --output")
     if args.brute_force and args.stat not in ("mean", "var"):
@@ -237,16 +244,14 @@ def cmd_convert(args) -> int:
 
     out_global = _module_forward(kind, x, params, None)
     out_local = _module_forward(kind, x, params, window)
-    # |global - local| and each channel's maximum, one block at a time.
-    channel_max = np.empty(x.channels)
-    diff = FeatureMap(leading_map(_absdiff_max, out_global.data, out_local.data,
-                                  channel_max, out=np.empty(out_global.data.shape)))
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_tensor(out_global, outdir / "global.tlct")
     write_tensor(out_local, outdir / "local.tlct")
-    write_tensor(diff, outdir / "absdiff.tlct")
+    channel_max = np.empty(x.channels)
+    _write_tlct(outdir / "absdiff.tlct", out_global.data.shape,
+                _absdiff_rows(out_global.data, out_local.data, channel_max))
 
     macs = modules.module_macs(kind, x.channels, x.height, x.width, ratio)
     rows = [
@@ -261,13 +266,23 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _absdiff_max(a: np.ndarray, b: np.ndarray, channel_max: np.ndarray,
-                 out: np.ndarray) -> np.ndarray:
-    # Fills channel_max, a view into the caller's array, as a side effect.
-    np.subtract(a, b, out=out)
-    np.abs(out, out=out)
-    np.max(out, axis=(-2, -1), out=channel_max)
-    return out
+def _absdiff_rows(a: np.ndarray, b: np.ndarray, channel_max: np.ndarray):
+    """rows(lo, hi) for the TLCT writer: |a - b| over channels lo:hi,
+    computed in one reused block-sized scratch array. Fills
+    channel_max[lo:hi] as a side effect."""
+    scratch = np.empty((0,) + a.shape[1:])
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        nonlocal scratch
+        if len(scratch) < hi - lo:
+            scratch = np.empty((hi - lo,) + a.shape[1:])
+        d = scratch[:hi - lo]
+        np.subtract(a[lo:hi], b[lo:hi], out=d)
+        np.abs(d, out=d)
+        np.max(d, axis=(-2, -1), out=channel_max[lo:hi])
+        return d
+
+    return rows
 
 
 def _crop_law_spot_checks(kind, x: FeatureMap, params, window: WindowSpec,
@@ -469,7 +484,7 @@ def build_parser() -> _Parser:
     p.add_argument("--stat", choices=["mean", "var", "max", "strided-mean"],
                    default=None)
     p.add_argument("--r", type=int, default=None, help="stride for strided-mean")
-    p.add_argument("--brute-force", action="store_true",
+    p.add_argument("--brute-force", action="store_true", default=None,
                    help="use the O(K^2)-per-pixel reference path (--stat mean, var)")
     p.set_defaults(func=cmd_aggregate)
 

@@ -7,10 +7,20 @@ File format (little-endian):
     then        C*H*W float32 values, row-major within channel,
                 channels outermost. No padding, no checksum.
 
-The payload is converted to one float32 buffer and written in C order
-with one call, and read straight into one float32 array that is then
-converted to float64; no byte string of the payload is ever built. Both
-conversions run in channel blocks on every core (``_parallel``).
+The payload never exists as one float32 array: a read or a write goes
+through one float32 buffer of one block of channels (the block size of
+``_parallel``), reused from block to block. A read checks the header
+and the file's size first.
+
+A write rewrites an existing file in place: it opens the file without
+truncating it, zeroes the header, writes the payload, truncates a
+regular file to the new length, and writes the header last. A write
+that fails or is interrupted therefore leaves a file that read_tensor
+rejects with MalformedHeader, never a valid header over a mix of old
+and new bytes. Nothing is fsync'ed, so after a power loss a file can
+still hold anything. A value beyond float32 range is refused
+(NonFiniteValue) rather than stored as an infinity. The target must be
+seekable: a regular file or a device such as /dev/null, not a pipe.
 
 Values live on disk as float32; in memory everything is float64 so that
 window sums over large windows do not lose precision.
@@ -20,12 +30,13 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import leading_map
+from ._parallel import block_rows, leading_map
 from .errors import (
     IoFailure,
     MalformedHeader,
@@ -37,12 +48,6 @@ from .errors import (
 MAGIC = b"TLCT"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIII")
-
-
-def _convert(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # The TLCT float32 <-> float64 conversion, one block at a time.
-    np.copyto(out, x)
-    return out
 
 
 def _finite_channels(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -128,9 +133,9 @@ def read_tensor(path) -> FeatureMap:
     The header is validated, and the payload size checked against the
     file's size, before anything is allocated for the payload, so a
     corrupt header cannot ask for memory the file does not back. A pipe
-    has no size and is rejected as truncated. The payload is then read
-    straight into one float32 array and converted to float64 block by
-    block; bytes past it are ignored.
+    has no size and is rejected as truncated. The float64 map is then
+    filled one block of channels at a time, read into one reused
+    float32 buffer; bytes past the payload are ignored.
     """
     try:
         with open(path, "rb") as fh:
@@ -150,31 +155,77 @@ def read_tensor(path) -> FeatureMap:
                 raise TruncatedPayload(
                     f"{path}: expected {4 * count} payload bytes, got {available}"
                 )
-            values = np.empty(count, dtype="<f4")
-            got = fh.readinto(values)
+            # On the caller's thread: reading blocks on the pool was no
+            # faster, and the pool's threads kept the freed buffers,
+            # which raised the peak memory of later work.
+            data = np.empty((c, h, w))
+            step = block_rows(data.shape)
+            buf = np.empty((min(step, c), h, w), dtype="<f4")
+            for lo in range(0, c, step):
+                block = buf[:min(step, c - lo)]
+                got = fh.readinto(block)
+                if got < block.nbytes:  # the file shrank after the size check
+                    raise TruncatedPayload(
+                        f"{path}: payload ends inside channels {lo}-{lo + len(block) - 1}"
+                    )
+                data[lo:lo + len(block)] = block
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if got < values.nbytes:  # the file shrank after the size check
-        raise TruncatedPayload(
-            f"{path}: expected {values.nbytes} payload bytes, got {got}"
-        )
-    values = values.reshape(c, h, w)
-    return FeatureMap(leading_map(_convert, values, out=np.empty(values.shape)))
+    return FeatureMap(data)
+
+
+def _pwrite_all(fd: int, data, offset: int) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        n = os.pwrite(fd, view, offset)
+        view, offset = view[n:], offset + n
+
+
+def _write_tlct(path, shape: tuple[int, int, int], rows) -> None:
+    """Write a TLCT file of the given (C, H, W) shape whose channels
+    lo:hi are the array rows(lo, hi), converted to float32 one block of
+    channels at a time into one reused buffer.
+
+    The file is rewritten in place, header last (see the module
+    docstring). Raises NonFiniteValue, leaving the zeroed header, when
+    a converted value is not finite, and IoFailure on any OS error.
+    """
+    c, h, w = shape
+    step = block_rows(shape)
+    buf = np.empty((min(step, c), h, w), dtype="<f4")
+    try:
+        # As open("wb") creates a file (mode 0o666 under the umask), but
+        # without O_TRUNC, which would free every page only to fault
+        # them in again.
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            _pwrite_all(fd, bytes(_HEADER.size), 0)
+            for lo in range(0, c, step):
+                block = buf[:min(step, c - lo)]
+                with np.errstate(over="ignore"):  # overflow is refused below
+                    np.copyto(block, rows(lo, lo + len(block)))
+                if not np.isfinite(block).all():
+                    raise NonFiniteValue(
+                        f"{path}: a value in channels {lo}-{lo + len(block) - 1} "
+                        f"is beyond float32 range"
+                    )
+                _pwrite_all(fd, block, _HEADER.size + lo * buf[0].nbytes)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, _HEADER.size + c * buf[0].nbytes)
+            _pwrite_all(fd, _HEADER.pack(MAGIC, VERSION, c, h, w), 0)
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def write_tensor(fmap: FeatureMap, path) -> None:
-    """Write a FeatureMap as a TLCT file readable by read_tensor."""
-    header = _HEADER.pack(MAGIC, VERSION, fmap.channels, fmap.height, fmap.width)
-    # One C-ordered float32 buffer, filled block by block whatever the
-    # map's layout, then one write: writing block by block is slower,
-    # since page-cache writeback bounds it.
-    payload = leading_map(_convert, fmap.data, out=np.empty(fmap.data.shape, dtype="<f4"))
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            payload.tofile(fh)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    """Write a FeatureMap as a TLCT file readable by read_tensor.
+
+    Raises NonFiniteValue if a value is beyond float32 range.
+    """
+    data = fmap.data
+    _write_tlct(path, data.shape, lambda lo, hi: data[lo:hi])
 
 
 def psnr(reference: FeatureMap, candidate: FeatureMap, peak: float) -> MetricReport:

@@ -246,3 +246,53 @@ def test_brute_force_without_a_brute_path_is_a_usage_error(tmp_path, rng, capsys
                  "--stat", stat, "--k", "3", "3", "--brute-force"]) == 1
     assert "--brute-force" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_output_beyond_float32_range_is_a_data_error(tmp_path, capsys):
+    # The windowed variance of +-1e30 is about 1e60, beyond float32.
+    arr = np.where(np.indices((1, 6, 6)).sum(axis=0) % 2, 1e30, -1e30)
+    inp = save_map(tmp_path, arr)
+    out = tmp_path / "o.tlct"
+    assert main(["aggregate", "--input", str(inp), "--output", str(out),
+                 "--stat", "var", "--k", "3", "3"]) == 3
+    assert "float32" in capsys.readouterr().err
+    assert main(["aggregate", "--input", str(out), "--output", str(tmp_path / "p.tlct"),
+                 "--stat", "mean", "--k", "1", "1"]) == 2  # zeroed header
+
+
+def test_config_brute_force_without_a_brute_path_is_a_usage_error(tmp_path, rng, capsys):
+    inp = save_map(tmp_path, rng.standard_normal((1, 8, 8)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("brute-force=1\nstat=max\nk=3 3\n")
+    out = tmp_path / "o.tlct"
+    assert main(["aggregate", "--input", str(inp), "--output", str(out),
+                 "--config", str(cfg)]) == 1
+    assert "--brute-force" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_brute_force_takes_the_brute_path(tmp_path, rng, monkeypatch):
+    import tlc.cli
+
+    inp = save_map(tmp_path, rng.standard_normal((2, 9, 8)))
+    flag, cfg_out = tmp_path / "flag.tlct", tmp_path / "cfg.tlct"
+    assert main(["aggregate", "--input", str(inp), "--output", str(flag),
+                 "--stat", "mean", "--k", "3", "4", "--brute-force"]) == 0
+    calls = []
+    brute = tlc.cli.brute_force_local_mean
+    monkeypatch.setattr(tlc.cli, "brute_force_local_mean",
+                        lambda *a: (calls.append(a), brute(*a))[1])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("brute-force=1\nstat=mean\nk=3 4\n")
+    assert main(["aggregate", "--input", str(inp), "--output", str(cfg_out),
+                 "--config", str(cfg)]) == 0
+    assert len(calls) == 1
+    assert cfg_out.read_bytes() == flag.read_bytes()
+
+
+def test_config_brute_force_value_must_be_a_switch(tmp_path, rng):
+    inp = save_map(tmp_path, rng.standard_normal((1, 8, 8)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("brute-force=maybe\n")
+    assert main(["aggregate", "--input", str(inp), "--output", str(tmp_path / "o.tlct"),
+                 "--config", str(cfg)]) == 1

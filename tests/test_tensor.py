@@ -1,9 +1,15 @@
+import errno
 import math
+import os
+import stat
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from tlc import _parallel
 from tlc.errors import (
     IoFailure,
     MalformedHeader,
@@ -159,3 +165,157 @@ def test_header_only_file_is_truncated(tmp_path):
     path.write_bytes(struct.pack("<4sIIII", b"TLCT", 1, 2, 3, 4))
     with pytest.raises(TruncatedPayload):
         read_tensor(path)
+
+
+# --- the block writer and the block reader ------------------------------------
+
+
+def _tlct_bytes(arr):
+    return struct.pack("<4sIIII", b"TLCT", 1, *arr.shape) + arr.astype("<f4").tobytes()
+
+
+@pytest.fixture
+def one_channel_blocks(monkeypatch):
+    """TLCT I/O of a 5x6x7 map goes one channel at a time."""
+    monkeypatch.setattr(_parallel, "_BLOCK_VALUES", 6 * 7)
+
+
+def test_write_failing_after_first_block_leaves_malformed_header(tmp_path, rng, monkeypatch,
+                                                                 one_channel_blocks):
+    old = _tlct_bytes(rng.standard_normal((5, 6, 7)))
+    path = tmp_path / "t.tlct"
+    path.write_bytes(old)
+    real_pwrite = os.pwrite
+    calls = []
+
+    def failing_pwrite(fd, data, offset):
+        calls.append(offset)
+        if len(calls) == 3:  # the zeroed header, the first block, then this
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_pwrite(fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", failing_pwrite)
+    with pytest.raises(IoFailure):
+        write_tensor(FeatureMap(rng.standard_normal((5, 6, 7))), path)
+    monkeypatch.setattr(os, "pwrite", real_pwrite)
+    assert calls == [0, 20, 20 + 4 * 6 * 7]
+    # Rewritten in place: the new first block and the old rest sit under
+    # a zeroed header, never a valid one.
+    left = path.read_bytes()
+    assert left[:20] == bytes(20) and left[20 + 4 * 6 * 7:] == old[20 + 4 * 6 * 7:]
+    with pytest.raises(MalformedHeader):
+        read_tensor(path)
+
+
+@pytest.mark.parametrize("old_size", [1, 20 + 4 * 5 * 6 * 7 - 1, 3 * (20 + 4 * 5 * 6 * 7)])
+def test_rewrite_over_longer_and_shorter_files(tmp_path, rng, one_channel_blocks, old_size):
+    path = tmp_path / "t.tlct"
+    path.write_bytes(rng.bytes(old_size))
+    new = rng.standard_normal((5, 6, 7))
+    write_tensor(FeatureMap(new), path)
+    assert path.read_bytes() == _tlct_bytes(new)
+
+
+def test_new_file_mode_matches_open_wb(tmp_path):
+    previous = os.umask(0o002)  # one that tells 0o666 from 0o644
+    try:
+        write_tensor(FeatureMap(np.zeros((1, 2, 2))), tmp_path / "t.tlct")
+        with open(tmp_path / "ref", "wb"):
+            pass
+    finally:
+        os.umask(previous)
+    mode = stat.S_IMODE((tmp_path / "t.tlct").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "ref").stat().st_mode) == 0o664
+
+
+def test_one_channel_blocks_write_the_bytes_of_one_whole_map_write(tmp_path, rng,
+                                                                   monkeypatch):
+    arr = np.asfortranarray(rng.standard_normal((5, 6, 7)))
+    write_tensor(FeatureMap(arr), tmp_path / "whole.tlct")
+    real_pwrite = os.pwrite
+    offsets = []
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: (
+        offsets.append(offset), real_pwrite(fd, data, offset))[1])
+    monkeypatch.setattr(_parallel, "_BLOCK_VALUES", 6 * 7)
+    write_tensor(FeatureMap(arr), tmp_path / "blocks.tlct")
+    # Zeroed header, five one-channel blocks in order, then the header.
+    assert offsets == [0] + [20 + 4 * 6 * 7 * i for i in range(5)] + [0]
+    assert (tmp_path / "blocks.tlct").read_bytes() == (tmp_path / "whole.tlct").read_bytes()
+
+
+def test_read_only_existing_target_raises_io_failure(tmp_path, monkeypatch):
+    path = tmp_path / "ro.tlct"
+    path.write_bytes(b"old bytes")
+    path.chmod(0o444)
+    if os.access(path, os.W_OK):
+        # Running as root, mode bits do not bind: refuse as the kernel
+        # does for everyone else.
+        real_open = os.open
+
+        def mode_checking_open(p, flags, *args):
+            if flags & os.O_WRONLY and not os.stat(p).st_mode & 0o222:
+                raise PermissionError(errno.EACCES, "Permission denied", str(p))
+            return real_open(p, flags, *args)
+
+        monkeypatch.setattr(os, "open", mode_checking_open)
+    with pytest.raises(IoFailure):
+        write_tensor(FeatureMap(np.zeros((1, 2, 2))), path)
+    assert path.read_bytes() == b"old bytes"
+
+
+def test_write_to_dev_null():
+    write_tensor(FeatureMap(np.ones((3, 4, 5))), os.devnull)
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39, np.finfo(np.float64).max])
+def test_value_beyond_float32_range_is_refused(tmp_path, one_channel_blocks, value):
+    # Only the last one-channel block overflows, after four were written.
+    arr = np.zeros((5, 6, 7))
+    arr[4, 5, 6] = value
+    path = tmp_path / "t.tlct"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue):
+            write_tensor(FeatureMap(arr), path)
+    with pytest.raises(MalformedHeader):
+        read_tensor(path)
+
+
+def test_largest_float32_is_written(tmp_path):
+    top = float(np.finfo(np.float32).max)
+    path = tmp_path / "t.tlct"
+    write_tensor(FeatureMap(np.array([[[top, -top]]])), path)
+    assert read_tensor(path).data.tolist() == [[[top, -top]]]
+
+
+def test_file_shrinking_after_the_size_check_is_truncated(tmp_path, rng, monkeypatch,
+                                                          one_channel_blocks):
+    path = tmp_path / "t.tlct"
+    full = _tlct_bytes(rng.standard_normal((5, 6, 7)))
+    # The file ends inside channel 2, but fstat still reports the full size.
+    path.write_bytes(full[:20 + 4 * (2 * 6 * 7 + 11)])
+    real_fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+        real_fstat(fd)[:6] + (len(full),) + real_fstat(fd)[7:]))
+    with pytest.raises(TruncatedPayload, match="channels 2-2"):
+        read_tensor(path)
+
+
+def test_tlct_io_never_holds_the_whole_payload_as_float32(tmp_path, rng, monkeypatch):
+    monkeypatch.setattr(_parallel, "_BLOCK_VALUES", 64 * 64)  # one-channel blocks
+    fmap = FeatureMap(rng.standard_normal((16, 64, 64)).astype(np.float32).astype(np.float64))
+    path = tmp_path / "t.tlct"
+    payload = 4 * fmap.data.size
+    tracemalloc.start()
+    try:
+        write_tensor(fmap, path)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = read_tensor(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.data, fmap.data)
+    assert write_peak < payload / 4
+    # The float64 map itself, the FeatureMap check's flags and one block.
+    assert read_peak < back.data.nbytes + payload / 2
