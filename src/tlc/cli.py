@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, demo, fusion, modules
+from ._parallel import block_rows
 from .errors import DataError, IoFailure, TlcError
 from .integral import (
     PointwiseMap,
@@ -31,7 +32,7 @@ from .integral import (
     local_mean_var,
     strided_local_mean,
 )
-from .tensor import FeatureMap, WindowSpec, _write_tlct, psnr, read_tensor, write_tensor
+from .tensor import FeatureMap, WindowSpec, _write_rows, psnr, read_tensor, write_tensor
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -250,7 +251,7 @@ def cmd_convert(args) -> int:
     write_tensor(out_global, outdir / "global.tlct")
     write_tensor(out_local, outdir / "local.tlct")
     channel_max = np.empty(x.channels)
-    _write_tlct(outdir / "absdiff.tlct", out_global.data.shape,
+    _write_rows(outdir / "absdiff.tlct", out_global.data.shape,
                 _absdiff_rows(out_global.data, out_local.data, channel_max))
 
     macs = modules.module_macs(kind, x.channels, x.height, x.width, ratio)
@@ -267,15 +268,12 @@ def cmd_convert(args) -> int:
 
 
 def _absdiff_rows(a: np.ndarray, b: np.ndarray, channel_max: np.ndarray):
-    """rows(lo, hi) for the TLCT writer: |a - b| over channels lo:hi,
-    computed in one reused block-sized scratch array. Fills
-    channel_max[lo:hi] as a side effect."""
-    scratch = np.empty((0,) + a.shape[1:])
+    """rows(lo, hi) for tensor._write_rows: |a - b| over channels lo:hi,
+    computed in one scratch array of one block. Fills channel_max[lo:hi]
+    as a side effect."""
+    scratch = np.empty((min(block_rows(a.shape), len(a)),) + a.shape[1:])
 
     def rows(lo: int, hi: int) -> np.ndarray:
-        nonlocal scratch
-        if len(scratch) < hi - lo:
-            scratch = np.empty((hi - lo,) + a.shape[1:])
         d = scratch[:hi - lo]
         np.subtract(a[lo:hi], b[lo:hi], out=d)
         np.abs(d, out=d)

@@ -1,4 +1,6 @@
 import csv
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -296,3 +298,20 @@ def test_config_brute_force_value_must_be_a_switch(tmp_path, rng):
     cfg.write_text("brute-force=maybe\n")
     assert main(["aggregate", "--input", str(inp), "--output", str(tmp_path / "o.tlct"),
                  "--config", str(cfg)]) == 1
+
+
+def test_aggregate_writes_to_a_pipe(tmp_path, rng):
+    inp = save_map(tmp_path, rng.standard_normal((3, 8, 9)))
+    ref = tmp_path / "ref.tlct"
+    assert main(["aggregate", "--input", str(inp), "--output", str(ref),
+                 "--stat", "var", "--k", "3", "3"]) == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["aggregate", "--input", str(inp), "--output", str(fifo),
+                 "--stat", "var", "--k", "3", "3"]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert got == [ref.read_bytes()]

@@ -3,13 +3,14 @@ import math
 import os
 import stat
 import struct
+import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from tlc import _parallel
+from tlc import _parallel, tensor
 from tlc.errors import (
     IoFailure,
     MalformedHeader,
@@ -180,29 +181,54 @@ def one_channel_blocks(monkeypatch):
     monkeypatch.setattr(_parallel, "_BLOCK_VALUES", 6 * 7)
 
 
+class _RecordingFile:
+    """A writer that records each write's size and fails on one call."""
+
+    def __init__(self, fh, fail_on=None):
+        self.fh, self.fail_on, self.sizes = fh, fail_on, []
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+    def write(self, data):
+        if len(self.sizes) == self.fail_on:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.sizes.append(memoryview(data).nbytes)
+        return self.fh.write(data)
+
+
+def _record_writes(monkeypatch, fail_on=None):
+    files = []
+
+    def recording_open(path, mode, **kwargs):
+        files.append(_RecordingFile(open(path, mode, **kwargs), fail_on))
+        return files[-1]
+
+    monkeypatch.setattr(tensor, "open", recording_open, raising=False)
+    return files
+
+
 def test_write_failing_after_first_block_leaves_malformed_header(tmp_path, rng, monkeypatch,
                                                                  one_channel_blocks):
     old = _tlct_bytes(rng.standard_normal((5, 6, 7)))
     path = tmp_path / "t.tlct"
     path.write_bytes(old)
-    real_pwrite = os.pwrite
-    calls = []
-
-    def failing_pwrite(fd, data, offset):
-        calls.append(offset)
-        if len(calls) == 3:  # the zeroed header, the first block, then this
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return real_pwrite(fd, data, offset)
-
-    monkeypatch.setattr(os, "pwrite", failing_pwrite)
+    new = rng.standard_normal((5, 6, 7))
+    files = _record_writes(monkeypatch, fail_on=2)  # the zeroed header, the first block, then this
     with pytest.raises(IoFailure):
-        write_tensor(FeatureMap(rng.standard_normal((5, 6, 7))), path)
-    monkeypatch.setattr(os, "pwrite", real_pwrite)
-    assert calls == [0, 20, 20 + 4 * 6 * 7]
+        write_tensor(FeatureMap(new), path)
+    monkeypatch.undo()
+    assert files[0].sizes == [20, 4 * 6 * 7]
     # Rewritten in place: the new first block and the old rest sit under
     # a zeroed header, never a valid one.
-    left = path.read_bytes()
-    assert left[:20] == bytes(20) and left[20 + 4 * 6 * 7:] == old[20 + 4 * 6 * 7:]
+    block = 20 + 4 * 6 * 7
+    assert path.read_bytes() == bytes(20) + _tlct_bytes(new)[20:block] + old[block:]
     with pytest.raises(MalformedHeader):
         read_tensor(path)
 
@@ -232,14 +258,11 @@ def test_one_channel_blocks_write_the_bytes_of_one_whole_map_write(tmp_path, rng
                                                                    monkeypatch):
     arr = np.asfortranarray(rng.standard_normal((5, 6, 7)))
     write_tensor(FeatureMap(arr), tmp_path / "whole.tlct")
-    real_pwrite = os.pwrite
-    offsets = []
-    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: (
-        offsets.append(offset), real_pwrite(fd, data, offset))[1])
+    files = _record_writes(monkeypatch)
     monkeypatch.setattr(_parallel, "_BLOCK_VALUES", 6 * 7)
     write_tensor(FeatureMap(arr), tmp_path / "blocks.tlct")
-    # Zeroed header, five one-channel blocks in order, then the header.
-    assert offsets == [0] + [20 + 4 * 6 * 7 * i for i in range(5)] + [0]
+    # The zeroed header, five one-channel blocks in order, then the header.
+    assert files[0].sizes == [20] + [4 * 6 * 7] * 5 + [20]
     assert (tmp_path / "blocks.tlct").read_bytes() == (tmp_path / "whole.tlct").read_bytes()
 
 
@@ -250,14 +273,12 @@ def test_read_only_existing_target_raises_io_failure(tmp_path, monkeypatch):
     if os.access(path, os.W_OK):
         # Running as root, mode bits do not bind: refuse as the kernel
         # does for everyone else.
-        real_open = os.open
-
-        def mode_checking_open(p, flags, *args):
-            if flags & os.O_WRONLY and not os.stat(p).st_mode & 0o222:
+        def mode_checking_open(p, mode, **kwargs):
+            if "w" in mode and not os.stat(p).st_mode & 0o222:
                 raise PermissionError(errno.EACCES, "Permission denied", str(p))
-            return real_open(p, flags, *args)
+            return open(p, mode, **kwargs)
 
-        monkeypatch.setattr(os, "open", mode_checking_open)
+        monkeypatch.setattr(tensor, "open", mode_checking_open, raising=False)
     with pytest.raises(IoFailure):
         write_tensor(FeatureMap(np.zeros((1, 2, 2))), path)
     assert path.read_bytes() == b"old bytes"
@@ -265,6 +286,22 @@ def test_read_only_existing_target_raises_io_failure(tmp_path, monkeypatch):
 
 def test_write_to_dev_null():
     write_tensor(FeatureMap(np.ones((3, 4, 5))), os.devnull)
+
+
+def test_write_to_a_pipe(tmp_path, rng, monkeypatch, one_channel_blocks):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    arr = rng.standard_normal((5, 6, 7))
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    files = _record_writes(monkeypatch)
+    write_tensor(FeatureMap(arr), fifo)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    # A pipe cannot seek: the real header first, then the blocks.
+    assert files[0].sizes == [20] + [4 * 6 * 7] * 5
+    assert got == [_tlct_bytes(arr)]
 
 
 @pytest.mark.parametrize("value", [1e39, -1e39, np.finfo(np.float64).max])
