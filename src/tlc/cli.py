@@ -194,7 +194,10 @@ def cmd_aggregate(args) -> int:
     elif args.stat == "max":
         stat = local_max(data, window)
     elif args.stat == "strided-mean":
-        stat = strided_local_mean(data, window, args.r)
+        try:
+            stat = strided_local_mean(data, window, args.r)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     else:
         raise UsageError(f"unknown stat {args.stat!r}")
     out = FeatureMap(stat)
@@ -434,12 +437,16 @@ def cmd_fuse(args) -> int:
     x = read_tensor(args.input)
     k = args.k
     stride = args.stride or [max(1, k[0] // 2), max(1, k[1] // 2)]
-    plan = fusion.plan_tiles(x.height, x.width, (k[0], k[1]),
-                             (stride[0], stride[1]))
+    try:
+        plan = fusion.plan_tiles(x.height, x.width, (k[0], k[1]),
+                                 (stride[0], stride[1]))
+        if args.transform == "attention":
+            p = fusion.AttnParams(temperature=args.temperature)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if args.transform == "identity":
         op = lambda win: win
     elif args.transform == "attention":
-        p = fusion.AttnParams(temperature=args.temperature)
         op = lambda win: fusion.transposed_attention(win, p)
     elif args.transform == "mean-broadcast":
         op = lambda win: np.broadcast_to(

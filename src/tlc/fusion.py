@@ -1,12 +1,14 @@
 """Overlapping-window slicing and overlap-averaging fusion.
 
-This is the conversion route for operators whose local form cannot be
-expressed through integral tables (channel-wise transposed attention):
-slice the map into overlapping windows, run the operator independently
-on each window, and average the overlaps back together. The same
-machinery, driven by a whole-model pipeline instead of a single
-operator, is the patch-inference baseline whose seams the seam metric
-quantifies.
+This is the tile route to a local operator: slice the map into
+overlapping windows, run the operator independently on each window,
+and average the overlaps back together. Here it is the baseline route
+for channel-wise transposed attention. (A seam-free route exists: the
+windowed Gram matrix of the channels is a set of box sums of channel
+products, so integral tables give every pixel the attention of its own
+window; see the ROADMAP.) The same machinery, driven by a whole-model
+pipeline instead of a single operator, is the patch-inference baseline
+whose seams the seam metric quantifies.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import block_rows, leading_map
 from .errors import OpShapeViolation, ShapeMismatch
 from .tensor import FeatureMap
 
@@ -95,8 +98,8 @@ def apply_and_fuse(x: FeatureMap, plan: TilePlan, op) -> FeatureMap:
         if out.shape != win.shape:
             raise OpShapeViolation(f"op returned {out.shape}, expected {win.shape}")
         acc[:, r:r + k_h, c:c + k_w] += out
-    counts = coverage_counts(plan)
-    return FeatureMap(acc / counts[None, :, :])
+    acc /= coverage_counts(plan)[None, :, :]
+    return FeatureMap(acc)
 
 
 def transposed_attention(window: np.ndarray, p: AttnParams) -> np.ndarray:
@@ -105,15 +108,20 @@ def transposed_attention(window: np.ndarray, p: AttnParams) -> np.ndarray:
     Each channel's flattened spatial vector is query, key and value at
     once; queries and keys are L2-normalized, similarities scaled by the
     temperature, rows softmaxed, and the values mixed. A single channel
-    therefore passes through unchanged.
+    therefore passes through unchanged. The cosine similarities come
+    from the Gram matrix G = v vᵀ and its diagonal, the squared norms:
+    G_ij / (n_i n_j), without a normalized copy of the window.
     """
     window = np.asarray(window, dtype=np.float64)
     c = window.shape[0]
     v = window.reshape(c, -1)
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    # Zero-norm channels stay as zero vectors; softmax is still defined.
-    q = np.divide(v, norms, out=np.zeros_like(v), where=norms > 0)
-    logits = (q @ q.T) * p.temperature
+    g = v @ v.T
+    norms = np.sqrt(np.diagonal(g))
+    # t / (n_i n_j), left at 0 where a norm is 0: a zero-norm channel
+    # has zero logits, so softmax is still defined.
+    scale = np.outer(norms, norms)
+    np.divide(p.temperature, scale, out=scale, where=scale > 0)
+    logits = g * scale
     logits -= logits.max(axis=1, keepdims=True)
     a = np.exp(logits)
     a /= a.sum(axis=1, keepdims=True)
@@ -155,10 +163,9 @@ def seam_metric(x: FeatureMap, plan: TilePlan) -> float:
     # is, so per-gap sums of |diff| and per-gap pair counts give both
     # means without gathering the pairs.
     n_ch = x.channels
-    dh = np.diff(x.data, axis=2)  # (C, H, W-1), pair (j, j+1)
-    col_sums = np.abs(dh, out=dh).sum(axis=(0, 1))
-    dv = np.diff(x.data, axis=1)  # (C, H-1, W)
-    row_sums = np.abs(dv, out=dv).sum(axis=(0, 2))
+    sums = leading_map(_gap_sums, x.data,
+                       out=np.empty((n_ch, (w - 1) + (h - 1)))).sum(axis=0)
+    col_sums, row_sums = sums[:w - 1], sums[w - 1:]
     n_seam_cols, n_seam_rows = int(edge_cols.sum()), int(edge_rows.sum())
     seam_n = n_ch * (h * n_seam_cols + w * n_seam_rows)
     other_n = n_ch * (h * (w - 1 - n_seam_cols) + w * (h - 1 - n_seam_rows))
@@ -167,3 +174,28 @@ def seam_metric(x: FeatureMap, plan: TilePlan) -> float:
     seam = col_sums[edge_cols].sum() + row_sums[edge_rows].sum()
     other = col_sums[~edge_cols].sum() + row_sums[~edge_rows].sum()
     return float(seam / seam_n - other / other_n)
+
+
+def _gap_sums(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per channel, the |diff| sum over each column gap, then over each
+    row gap, into out of shape (C, (W-1) + (H-1)).
+
+    The diffs are taken a block of channels at a time. leading_map
+    already hands each pool thread at most one block, so this loop only
+    splits when the whole map runs on one thread (one core, or a map
+    under the size floor); no full-size diff is held there either.
+    """
+    w1 = x.shape[2] - 1
+    rows = block_rows(x.shape)
+    for lo in range(0, x.shape[0], rows):
+        blk, o = x[lo:lo + rows], out[lo:lo + rows]
+        _abs_diff_sum(blk, 2, o[:, :w1])  # pair (j, j+1) across column gap j
+        _abs_diff_sum(blk, 1, o[:, w1:])
+    return out
+
+
+def _abs_diff_sum(x: np.ndarray, axis: int, out: np.ndarray) -> None:
+    # Sum |diff| along axis over the other spatial axis of (C, H, W);
+    # the diff is freed on return.
+    d = np.diff(x, axis=axis)
+    np.abs(d, out=d).sum(axis=3 - axis, out=out)

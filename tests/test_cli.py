@@ -315,3 +315,31 @@ def test_aggregate_writes_to_a_pipe(tmp_path, rng):
     reader.join(timeout=10)
     assert not reader.is_alive()
     assert got == [ref.read_bytes()]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--stride", "0", "0"],
+    ["--k", "0", "0"],
+    ["--k", "-3", "4"],
+    ["--transform", "attention", "--temperature", "0"],
+    ["--transform", "attention", "--temperature", "-1"],
+], ids=" ".join)
+def test_fuse_bad_value_is_a_usage_error(tmp_path, rng, capsys, flags):
+    inp = save_map(tmp_path, rng.standard_normal((2, 8, 8)))
+    outdir = tmp_path / "fused"
+    argv = ["fuse", "--input", str(inp), "--outdir", str(outdir)]
+    if "--k" not in flags:
+        argv += ["--k", "4", "4"]
+    assert main(argv + flags) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("r", ["0", "-2"])
+def test_strided_mean_bad_stride_is_a_usage_error(tmp_path, rng, capsys, r):
+    inp = save_map(tmp_path, rng.standard_normal((1, 8, 8)))
+    out = tmp_path / "o.tlct"
+    assert main(["aggregate", "--input", str(inp), "--output", str(out),
+                 "--stat", "strided-mean", "--k", "3", "3", "--r", r]) == 1
+    assert "stride" in capsys.readouterr().err
+    assert not out.exists()

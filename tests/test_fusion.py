@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from tlc import _parallel, fusion
 from tlc.errors import OpShapeViolation
 from tlc.fusion import (
     AttnParams,
@@ -271,4 +274,85 @@ def test_seam_metric_matches_concatenation_oracle(plan, seed):
     data[:, ::2] *= 1.0 + seed  # give rows different scales
     got = seam_metric(FeatureMap(data), plan)
     want = _seam_metric_concatenation_oracle(data, plan)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+# --- the q-normalized attention oracle -----------------------------------------
+
+
+def _q_normalized_attention(window: np.ndarray, temperature: float) -> np.ndarray:
+    # The attention as first written: an L2-normalized copy q of the
+    # channels, then q qᵀ, with zero-norm channels left as zero rows of q.
+    window = np.asarray(window, dtype=np.float64)
+    c = window.shape[0]
+    v = window.reshape(c, -1)
+    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    q = np.divide(v, norms, out=np.zeros_like(v), where=norms > 0)
+    logits = (q @ q.T) * temperature
+    logits -= logits.max(axis=1, keepdims=True)
+    a = np.exp(logits)
+    a /= a.sum(axis=1, keepdims=True)
+    return (a @ v).reshape(window.shape)
+
+
+@pytest.mark.parametrize("c", [1, 2, 8, 64])
+@pytest.mark.parametrize("offset", [0.0, 1.0, 1e2, 1e4])
+@pytest.mark.parametrize("zeros", [0, 1, 2])
+@pytest.mark.parametrize("temperature", [0.1, 10.0])
+def test_gram_attention_matches_q_normalized_oracle(c, offset, zeros, temperature):
+    rng = np.random.default_rng([c, zeros, int(offset)])
+    x = rng.standard_normal((c, 20, 21)) * rng.uniform(0.1, 3.0, (c, 1, 1)) + offset
+    x[:zeros] = 0.0  # zero-norm channels (every channel when zeros >= c)
+    win = x[:, 2:18, 3:19]  # a strided tile, as apply_and_fuse passes it
+    got = transposed_attention(win, AttnParams(temperature))
+    want = _q_normalized_attention(win, temperature)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+# --- the seam metric in channel blocks ------------------------------------------
+
+
+@pytest.mark.parametrize("plan", SEAM_PLANS)
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("workers", [1, 2])
+def test_seam_metric_in_one_channel_blocks_matches_concatenation_oracle(monkeypatch, plan, seed,
+                                                                         workers):
+    # Two workers run the blocks through leading_map on the pool; one
+    # runs them in _gap_sums' own loop on the caller's thread.
+    monkeypatch.setattr(_parallel, "_MIN_VALUES", 0)
+    monkeypatch.setattr(_parallel, "_WORKERS", workers)
+    monkeypatch.setattr(_parallel, "_BLOCK_VALUES", 1)
+    channels = []
+    abs_diff_sum = fusion._abs_diff_sum
+
+    def recording(x, axis, out):
+        channels.append(x.shape[0])
+        abs_diff_sum(x, axis, out)
+
+    monkeypatch.setattr(fusion, "_abs_diff_sum", recording)
+    test_seam_metric_matches_concatenation_oracle(plan, seed)
+    assert channels == [1] * 6  # three channels, two gap directions each
+
+
+@pytest.mark.parametrize("workers,block_values", [(1, None), (2, 1 << 18)])
+def test_seam_metric_never_holds_a_full_size_diff(monkeypatch, workers, block_values):
+    # Blocks running on different threads are held at once, so on two
+    # workers the blocks are set to a quarter of the map; on one, the
+    # default blocks (half of it) are taken one after the other.
+    monkeypatch.setattr(_parallel, "_WORKERS", workers)
+    if block_values:
+        monkeypatch.setattr(_parallel, "_BLOCK_VALUES", block_values)
+    x = FeatureMap(np.random.default_rng(8).standard_normal((16, 256, 256)))
+    assert x.data.size >= _parallel._MIN_VALUES
+    plan = plan_tiles(256, 256, (64, 64), (32, 32))
+    want = _seam_metric_concatenation_oracle(x.data, plan)
+    full_diff = 16 * 256 * 255 * x.data.itemsize
+    tracemalloc.start()
+    try:
+        got = seam_metric(x, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full_diff
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
