@@ -12,10 +12,10 @@ Every kernel works on the last two axes of an array of any rank, so a
 along them gives bit for bit what a call on that 2-D slice alone gives.
 Accumulation is float64.
 
-``local_aggregate``, ``local_max`` and the variance step of
-``local_mean_var`` therefore cut a map of at least 2**20 values along
-axis 0 into blocks of whole rows, at most 2**19 values each unless one
-row is larger, and never fewer blocks than cores. The blocks run in
+``local_aggregate``, ``local_max`` and ``local_mean_var`` therefore cut
+a map of at least 2**20 values along axis 0 into blocks of whole rows,
+at most 2**19 values each unless one row is larger, and never fewer
+blocks than cores. The blocks run in
 order on one thread per core the process may use, each writing its part
 of one preallocated output; smaller maps, and calls made from those
 threads, stay on the calling thread. Results are bit-identical to a
@@ -161,20 +161,56 @@ def local_mean_var(x: np.ndarray, w: WindowSpec) -> tuple[np.ndarray, np.ndarray
     """Windowed mean and variance maps.
 
     var = E[x^2] - mean^2, clamped at zero: the subtraction can go
-    slightly negative on near-constant windows.
+    slightly negative on near-constant windows. Both come from
+    ``_mean_var``, one block of rows at a time.
     """
-    mean = local_aggregate(x, PointwiseMap.IDENTITY, w)
-    var = local_aggregate(x, PointwiseMap.SQUARE, w)
-    if w.effective(*var.shape[-2:]) == (1, 1):
-        # An identity window stays on this thread, as local_aggregate's
-        # copy does.
-        return mean, _subtract_square_clamp(var, mean, var)
-    return mean, leading_map(_subtract_square_clamp, var, mean, out=var)
+    x = np.asarray(x, dtype=np.float64)
+    mean = np.empty(x.shape)
+
+    def block(xs, ms, vs):
+        vs = np.empty(xs.shape) if vs is None else vs
+        # Each map is a group of one, and vs serves as the scratch.
+        v = vs[..., None, :, :]
+        _mean_var(xs[..., None, :, :], w, v, ms[..., None, :, :], v)
+        return vs
+
+    return mean, leading_map(block, x, mean)
 
 
-def _subtract_square_clamp(sq: np.ndarray, mean: np.ndarray, out: np.ndarray) -> np.ndarray:
-    out = np.subtract(sq, mean * mean, out=out)
-    return np.maximum(out, 0.0, out=out)
+def _mean_var(x: np.ndarray, window: WindowSpec | None, scratch: np.ndarray,
+              mean: np.ndarray | None = None, var: np.ndarray | None = None,
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of each group of maps along axis -3 of x: over
+    the whole group (window None, shaped (..., 1, 1, 1)) or over the
+    group's maps and the window around every pixel (shaped (..., 1, H, W)).
+
+    The results are written into ``mean`` and ``var`` when given, else
+    into new arrays. ``scratch``, of x's shape, is overwritten; it may be
+    ``var`` when a group holds one map.
+    """
+    shape = x.shape[:-3] + (1,) + ((1, 1) if window is None else x.shape[-2:])
+    mean = np.empty(shape) if mean is None else mean
+    var = np.empty(shape) if var is None else var
+    _pool_group(x, window, mean)
+    _pool_group(np.multiply(x, x, out=scratch), window, var)
+    var -= mean * mean
+    np.maximum(var, 0.0, out=var)
+    return mean, var
+
+
+def _pool_group(x: np.ndarray, window: WindowSpec | None, out: np.ndarray) -> np.ndarray:
+    """Mean of x over axis -3, then over the whole map or every window,
+    written into out (which may be x)."""
+    if x.shape[-3] > 1:
+        x = np.mean(x, axis=-3, keepdims=True, out=None if window is None else out)
+    if window is None:
+        return np.mean(x, axis=(-2, -1), keepdims=True, out=out)
+    k_h, k_w = window.effective(*x.shape[-2:])
+    if k_h == 1 and k_w == 1:
+        if x is not out:
+            out[...] = x
+        return out
+    return _aggregate(x, PointwiseMap.IDENTITY, k_h, k_w, out)
 
 
 def _valid_running_max(x: np.ndarray, size: int, axis: int) -> np.ndarray:

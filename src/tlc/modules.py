@@ -22,7 +22,7 @@ import numpy as np
 
 from ._parallel import leading_map
 from .errors import InvalidGroupCount, ShapeMismatch
-from .integral import PointwiseMap, local_aggregate, local_max
+from .integral import PointwiseMap, _mean_var, local_aggregate, local_max
 from .tensor import FeatureMap, WindowSpec
 
 
@@ -111,10 +111,8 @@ def _check_channels(x: FeatureMap, c: int):
         raise ShapeMismatch(f"feature map has {x.channels} channels, params want {c}")
 
 
-def _pool(
-    x: np.ndarray, window: WindowSpec | None, f: PointwiseMap = PointwiseMap.IDENTITY
-) -> np.ndarray:
-    """Mean of f(x) over the last two axes: the whole map (global mode,
+def _pool(x: np.ndarray, window: WindowSpec | None) -> np.ndarray:
+    """Mean over the last two axes: the whole map (global mode,
     kept as 1 x 1 so it broadcasts) or the window around every pixel
     (local mode).
 
@@ -124,8 +122,8 @@ def _pool(
     pool the fewer maps it yields.
     """
     if window is None:
-        return f.apply(x).mean(axis=(-2, -1), keepdims=True)
-    return local_aggregate(x, f, window)
+        return x.mean(axis=(-2, -1), keepdims=True)
+    return local_aggregate(x, PointwiseMap.IDENTITY, window)
 
 
 def _pool_max(x: np.ndarray, window: WindowSpec | None) -> np.ndarray:
@@ -149,29 +147,21 @@ def se_forward(x: FeatureMap, p: SeParams, window: WindowSpec | None = None) -> 
 def norm_forward(x: FeatureMap, p: NormParams, window: WindowSpec | None = None) -> FeatureMap:
     """Instance/group normalization with affine.
 
-    Group statistics are aggregates (spatially global or windowed) of
-    the mean over the group's channels, so groups=C gives IN. Groups
-    are normalized one slice of groups per core.
+    Group statistics are means over the group's channels and the whole
+    map or the window (``integral._mean_var``), so groups=C gives IN.
+    Groups are normalized one slice of groups per core.
     """
     _check_channels(x, p.channels)
     per_group = (p.groups, -1, 1, 1)
     grouped = x.data.reshape(p.groups, -1, x.height, x.width)
 
     def body(g, gamma, beta, out):
-        if g.shape[1] == 1:
-            # IN: the group mean is the channel itself, and local mode
-            # squares straight into the summed-area table.
-            mu = _pool(g, window)
-            sd = _pool(g, window, PointwiseMap.SQUARE)
-        else:
-            mu = _pool(g.mean(axis=1, keepdims=True), window)
-            sd = _pool((g * g).mean(axis=1, keepdims=True), window)
-        # sd starts as the pooled E[x^2] and becomes sqrt(var + eps) in place.
-        sd -= mu * mu
-        np.maximum(sd, 0.0, out=sd)
+        out = np.empty(g.shape) if out is None else out
+        # The output block is the statistics' scratch until it is written.
+        mu, sd = _mean_var(g, window, out)
+        # sd starts as the variance and becomes sqrt(var + eps) in place.
         sd += p.eps
         np.sqrt(sd, out=sd)
-        # The output is allocated only now, after the statistics.
         normed = np.subtract(g, mu, out=out)
         normed /= sd
         normed *= gamma

@@ -104,7 +104,7 @@ def test_split_kernel_equals_serial(monkeypatch, pool, name, c, workers, w):
     serial, split = serial_then_split(monkeypatch, lambda: KERNELS[name](x, w), workers)
     assert_same(serial, split)
     # A 1 x 1 window is a copy, which local_aggregate makes before any split.
-    copy_only = name != "local_max" and w == WindowSpec(1, 1)
+    copy_only = name.startswith("local_aggregate") and w == WindowSpec(1, 1)
     assert (pool.tasks > 0) == (c > 1 and not copy_only)
 
 
@@ -319,10 +319,10 @@ BLOCKINGS = [
     ((7, 13, 17), 3, 100, 4),
     ((5, 2, 13, 17), 2, 2, 3),
 ]
-# Calls of the map per kernel call: local_mean_var blocks both aggregates
-# and its subtraction.
+# Calls of the map per kernel call: local_mean_var computes both
+# statistics of a block in one call.
 MAP_CALLS = {"local_aggregate": 1, "local_aggregate_square": 1, "local_max": 1,
-             "local_mean_var": 3}
+             "local_mean_var": 1}
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
