@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,3 +351,64 @@ def test_local_aggregate_square_is_identity_of_the_square(case):
     x, w = case
     assert np.array_equal(local_aggregate(x, PointwiseMap.SQUARE, w),
                           local_aggregate(x * x, PointwiseMap.IDENTITY, w))
+
+
+# --- mean and variance on large offsets --------------------------------------
+
+SPREAD = 1e-2
+
+
+def _two_pass_var(windows, axis):
+    return np.mean((windows - windows.mean(axis=axis, keepdims=True)) ** 2, axis=axis)
+
+
+@st.composite
+def offset_map_case(draw):
+    # Activations with a small spread on an offset of up to 1e4, the
+    # regime where E[x^2] - mean^2 cancels.
+    h = draw(st.one_of(st.just(1), st.integers(1, 40)))
+    w = draw(st.one_of(st.just(1), st.integers(1, 40)))
+    offset = draw(st.one_of(st.sampled_from([1e4, -1e4, 1e3]), st.floats(-1e4, 1e4)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    x = np.random.default_rng(seed).standard_normal((h, w)) * SPREAD + offset
+    return x, WindowSpec(draw(_window_side(h)), draw(_window_side(w)))
+
+
+@BATCH_SETTINGS
+@given(case=offset_map_case())
+def test_local_mean_var_matches_two_pass_reference_on_large_offsets(case):
+    x, w = case
+    mean, var = local_mean_var(x, w)
+    want_mean = _sliding_reference(x, w, np.mean)
+    want_var = _sliding_reference(x, w, _two_pass_var)
+    assert np.max(np.abs(mean - want_mean)) <= 1e-12 * (1.0 + np.abs(x).max())
+    # 1e-9 of the spread's variance, at any offset.
+    assert np.max(np.abs(var - want_var)) <= 1e-9 * SPREAD**2
+
+
+def test_local_mean_var_relative_error_at_offset_1e4():
+    x = np.random.default_rng(7).standard_normal((96, 96)) * SPREAD + 1e4
+    k = 32
+    _, var = local_mean_var(x, WindowSpec(k, k))
+    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k))
+    want = _two_pass_var(windows, axis=(-2, -1))
+    c = (k - 1) // 2
+    got = var[c:c + want.shape[0], c:c + want.shape[1]]
+    assert np.max(np.abs(got - want) / want) <= 1e-9
+
+
+def test_local_mean_var_allocates_no_full_size_temporary():
+    x = np.random.default_rng(0).standard_normal((16, 256, 256)) * SPREAD + 1e4
+    w = WindowSpec(32, 32)
+    local_mean_var(x[:4], w)  # starts the pool outside the measurement
+    tracemalloc.start()
+    try:
+        local_mean_var(x, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The two outputs are 16.8 MB, and the blocks in flight hold at most
+    # one summed-area table of the whole map between them (8.5 MB): the
+    # unshifted formula peaked at 25.7-25.8 MB. A full-size shifted copy
+    # of x would add 8.4 MB.
+    assert peak <= 26.0e6

@@ -138,6 +138,32 @@ def test_instance_norm_is_groups_equal_channels(rng):
         assert np.allclose(out[ch], expect, atol=1e-10)
 
 
+def _two_pass_norm(crop: np.ndarray, p: NormParams) -> np.ndarray:
+    """Group norm of a whole crop with two-pass statistics, in numpy."""
+    g = crop.reshape(p.groups, -1)
+    centred = g - g.mean(axis=1, keepdims=True)
+    var = np.mean(centred ** 2, axis=1, keepdims=True)
+    normed = (centred / np.sqrt(var + p.eps)).reshape(crop.shape)
+    return normed * p.gamma[:, None, None] + p.beta[:, None, None]
+
+
+@pytest.mark.parametrize("groups", [4, 2], ids=["in", "gn"])
+def test_norm_crop_law_at_offset_1e4(rng, groups):
+    # A spread of 1e-2 on offsets of +-1e4, the same within each GN group.
+    offsets = np.array([1e4, 1e4, -1e4, -1e4])[:, None, None]
+    x = rng.standard_normal((4, 20, 22)) * 1e-2 + offsets
+    p = make_norm_params(rng, groups=groups)
+    got = norm_forward(FeatureMap(x), p).data
+    assert np.max(np.abs(got - _two_pass_norm(x, p))) <= 1e-8
+    k = 9
+    local = norm_forward(FeatureMap(x), p, WindowSpec(k, k)).data
+    c = (k - 1) // 2
+    for r in range(x.shape[1] - k + 1):
+        for q in range(x.shape[2] - k + 1):
+            want = _two_pass_norm(x[:, r:r + k, q:q + k], p)[:, c, c]
+            assert np.max(np.abs(local[:, r + c, q + c] - want)) <= 1e-8
+
+
 # --- GE ------------------------------------------------------------------
 
 
