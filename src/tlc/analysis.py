@@ -55,8 +55,8 @@ class Layer:
     has_global_op: bool = True
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError(f"layer {self.name}: scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"layer {self.name}: scale must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -135,8 +135,11 @@ def calibrate_windows(g: LayerGraph, calib_h: int, calib_w: int) -> dict[str, tu
     for layer in g.layers:
         if not layer.has_global_op:
             continue
-        k_h = math.floor(calib_h * layer.scale + 0.5)
-        k_w = math.floor(calib_w * layer.scale + 0.5)
+        k_h = calib_h * layer.scale + 0.5
+        k_w = calib_w * layer.scale + 0.5
+        if not (math.isfinite(k_h) and math.isfinite(k_w)):
+            raise ValueError(f"layer {layer.name}: scale {layer.scale} overflows the window")
+        k_h, k_w = math.floor(k_h), math.floor(k_w)
         if k_h < 1 or k_w < 1:
             raise DegenerateScale(
                 f"layer {layer.name}: scale {layer.scale} degenerates "

@@ -93,9 +93,16 @@ def _switch(s: str) -> bool:
     return s == "1"
 
 
+def _two_ints(s: str) -> list[int]:
+    values = [int(t) for t in s.replace(",", " ").split()]
+    if len(values) != 2:
+        raise ValueError(f"expected two integers, got {s!r}")
+    return values
+
+
 _CONVERTERS = {
-    "k": lambda s: [int(t) for t in s.replace(",", " ").split()],
-    "stride": lambda s: [int(t) for t in s.replace(",", " ").split()],
+    "k": _two_ints,
+    "stride": _two_ints,
     "seed": int,
     "n": int,
     "r": int,
@@ -103,7 +110,7 @@ _CONVERTERS = {
     "reps": int,
     "groups": int,
     "temperature": float,
-    "calib": lambda s: [int(t) for t in s.replace(",", " ").split()],
+    "calib": _two_ints,
     "brute_force": _switch,
 }
 
@@ -127,11 +134,8 @@ def _apply_config(args: argparse.Namespace, defaults: dict):
 
 
 def _window(args) -> WindowSpec:
-    k = args.k
-    if len(k) != 2:
-        raise UsageError("--k takes two integers")
     try:
-        return WindowSpec(k[0], k[1])
+        return WindowSpec(*args.k)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -186,8 +190,11 @@ def cmd_aggregate(args) -> int:
             stat = local_aggregate(data, PointwiseMap.IDENTITY, window)
     elif args.stat == "var":
         if args.brute_force:
-            m = brute_force_local_mean(data, PointwiseMap.IDENTITY, window)
-            sq = brute_force_local_mean(data, PointwiseMap.SQUARE, window)
+            # Centred on each channel's mean, so that the two means do
+            # not cancel on a large offset.
+            centred = data - data.mean(axis=(-2, -1), keepdims=True)
+            m = brute_force_local_mean(centred, PointwiseMap.IDENTITY, window)
+            sq = brute_force_local_mean(centred, PointwiseMap.SQUARE, window)
             stat = np.maximum(sq - m * m, 0.0)
         else:
             stat = local_mean_var(data, window)[1]
@@ -310,17 +317,18 @@ def cmd_stats(args) -> int:
     _apply_config(args, {"seed": 42, "n": 500, "bins": 20})
     if not args.outdir:
         raise UsageError("stats needs --outdir")
+    try:
+        report = analysis.run_shift_experiment(args.seed, n=args.n)
+        sets = (report.train, report.test, report.test_tlc)
+        hists = [analysis.histogram(s, args.bins) for s in sets]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    report = analysis.run_shift_experiment(args.seed, n=args.n)
     samples = []
-    for s in (report.train, report.test, report.test_tlc):
+    for s, hist in zip(sets, hists):
         samples.extend((s.label.value, float(v)) for v in s.values)
-        _write_csv(
-            outdir / f"hist_{s.label.value}.csv",
-            ["bin_left", "count"],
-            analysis.histogram(s, args.bins),
-        )
+        _write_csv(outdir / f"hist_{s.label.value}.csv", ["bin_left", "count"], hist)
     _write_csv(outdir / "samples.csv", ["label", "value"], samples)
     _write_csv(
         outdir / "ks.csv",
@@ -352,7 +360,10 @@ def cmd_calibrate(args) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     graph = analysis.LayerGraph(tuple(layers))
-    sizes = analysis.calibrate_windows(graph, args.calib[0], args.calib[1])
+    try:
+        sizes = analysis.calibrate_windows(graph, *args.calib)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     rows = [(name, kh, kw) for name, (kh, kw) in sizes.items()]
     if args.output:
         _write_csv(args.output, ["layer", "k_h", "k_w"], rows)
@@ -366,6 +377,8 @@ def cmd_bench(args) -> int:
     _apply_config(args, {"seed": 0, "reps": 5})
     if not args.output:
         raise UsageError("bench needs --output")
+    if args.reps < 1:
+        raise UsageError(f"--reps must be >= 1, got {args.reps}")
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal((512, 512))
     sizes = (8, 32, 128)

@@ -117,9 +117,6 @@ class WindowSpec:
     def effective(self, h: int, w: int) -> tuple[int, int]:
         return min(self.k_h, h), min(self.k_w, w)
 
-    def covers(self, h: int, w: int) -> bool:
-        return self.k_h >= h and self.k_w >= w
-
 
 @dataclass(frozen=True)
 class MetricReport:

@@ -121,6 +121,17 @@ def test_calibrate_degenerate_scale():
         calibrate_windows(_graph(0.001), 16, 16)
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -1.0])
+def test_layer_scale_must_be_positive_and_finite(scale):
+    with pytest.raises(ValueError):
+        Layer("a", scale)
+
+
+def test_calibrate_scale_overflowing_the_window_is_rejected():
+    with pytest.raises(ValueError):
+        calibrate_windows(_graph(1e308), 384, 384)
+
+
 def test_calibrate_monotone_random(rng):
     for _ in range(100):
         scale = float(rng.uniform(0.05, 1.0))

@@ -343,3 +343,57 @@ def test_strided_mean_bad_stride_is_a_usage_error(tmp_path, rng, capsys, r):
                  "--stat", "strided-mean", "--k", "3", "3", "--r", r]) == 1
     assert "stride" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _sliding_two_pass_var(x, k):
+    """Two-pass variance of every full k x k window of each channel."""
+    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(-2, -1))
+    centred = windows - windows.mean(axis=(-2, -1), keepdims=True)
+    return np.mean(centred ** 2, axis=(-2, -1))
+
+
+@pytest.mark.parametrize("brute", [False, True], ids=["integral", "brute-force"])
+def test_aggregate_var_at_offset_1e4_matches_two_pass_reference(tmp_path, rng, brute):
+    inp = save_map(tmp_path, rng.standard_normal((2, 64, 64)) * 1e-2 + 1e4)
+    out = tmp_path / "var.tlct"
+    k = 16
+    argv = ["aggregate", "--input", str(inp), "--output", str(out), "--stat", "var",
+            "--k", str(k), str(k)]
+    assert main(argv + ["--brute-force"] * brute) == 0
+    want = _sliding_two_pass_var(read_tensor(inp).data, k)
+    c = (k - 1) // 2
+    got = read_tensor(out).data[:, c:c + want.shape[1], c:c + want.shape[2]]
+    # The output is stored as float32.
+    assert np.max(np.abs(got - want) / want) <= 1e-6
+
+
+@pytest.mark.parametrize("command,flags,config", [
+    ("fuse", [], "k = 5"),
+    ("fuse", ["--k", "4", "4"], "stride = 4"),
+    ("fuse", [], "k = 5 5 5"),
+    ("calibrate", ["--layer", "a=0.5"], "calib = 64"),
+    ("stats", ["--n", "0"], None),
+    ("stats", ["--n", "8", "--bins", "0"], None),
+    ("bench", ["--reps", "0"], None),
+    ("calibrate", ["--calib", "0", "5", "--layer", "a=0.5"], None),
+    ("calibrate", ["--layer", "a=nan"], None),
+    ("calibrate", ["--layer", "a=inf"], None),
+    ("calibrate", ["--layer", "a=1e308"], None),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_bad_number_is_a_usage_error(tmp_path, rng, capsys, command, flags, config):
+    out = tmp_path / "out"
+    argv = [command] + flags
+    if command == "fuse":
+        inp = save_map(tmp_path, rng.standard_normal((2, 8, 8)))
+        argv += ["--input", str(inp), "--outdir", str(out)]
+    elif command == "stats":
+        argv += ["--outdir", str(out)]
+    else:
+        argv += ["--output", str(out)]
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
