@@ -21,12 +21,10 @@ shift, and E[x^2] - mean^2 no longer cancels on a large offset.
 ``local_aggregate``, ``local_max`` and ``local_mean_var`` cut a map of
 at least 2**20 values along axis 0 into blocks of whole rows, at most
 2**19 values each unless one row is larger, and never fewer blocks than
-cores; ``local_mean_var`` shifts each block in its variance output, so
-no full-size temporary appears. The blocks run in order on one thread
-per core the process may use, each writing its part of one
-preallocated output; smaller maps, and calls made from those threads,
-stay on the calling thread. Results are bit-identical to a
-single-thread run. There is no setting for it, and BLAS threading is
+cores. The blocks run in order on one thread per core the process may
+use, each writing its part of one preallocated output; smaller maps,
+and calls made from those threads, stay on the calling thread. Results
+are bit-identical to a single-thread run. There is no setting for it, and BLAS threading is
 not touched.
 """
 
@@ -167,28 +165,25 @@ def local_aggregate(
 def local_mean_var(x: np.ndarray, w: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
     """Windowed mean and variance maps.
 
-    Each map is first shifted by its own mean (the pivot); the windowed
-    mean of the shifted map plus the pivot is the mean, and
-    var = E[(x - pivot)^2] - (mean - pivot)^2, clamped at zero, since
-    the subtraction can go slightly negative on near-constant windows.
-    With the pivot, an offset of 1e4 on a spread of 1e-2 costs no
-    digits: the relative error against a two-pass reference is about
-    1e-13, where the unshifted formula was off by more than 10%. Both
-    maps come from ``_mean_var``, one block of rows at a time, and the
-    shifted block lives in the variance output until the variance
-    replaces it.
+    Each map is shifted by its own mean (the pivot) before the tables
+    are built: var = E[(x - pivot)^2] - (mean - pivot)^2, clamped at
+    zero since it can go slightly negative on near-constant windows, and
+    the pivot is added back to the mean. The variance does not change
+    under the shift, so an offset of 1e4 on a spread of 1e-2 keeps a
+    relative error of about 1e-13 against a two-pass reference, where
+    the unshifted formula was off by more than 10%. Each block is
+    shifted inside its part of the variance output.
     """
     x = np.asarray(x, dtype=np.float64)
-    mean = np.empty(x.shape)
+    mean, var = np.empty(x.shape), np.empty(x.shape)
 
     def block(xs, ms, vs):
-        vs = np.empty(xs.shape) if vs is None else vs
         # Each map is a group of one, and vs serves as the scratch.
         v = vs[..., None, :, :]
-        _mean_var(xs[..., None, :, :], w, v, ms[..., None, :, :], v)
-        return vs
+        return _mean_var(xs[..., None, :, :], w, v, ms[..., None, :, :], v)
 
-    return mean, leading_map(block, x, mean)
+    leading_map(block, x, mean, out=var)
+    return mean, var
 
 
 def _mean_var(x: np.ndarray, window: WindowSpec | None, scratch: np.ndarray,
@@ -206,8 +201,8 @@ def _mean_var(x: np.ndarray, window: WindowSpec | None, scratch: np.ndarray,
     shape = x.shape[:-3] + (1,) + ((1, 1) if window is None else x.shape[-2:])
     mean = np.empty(shape) if mean is None else mean
     var = np.empty(shape) if var is None else var
-    # Shifting each group by its own mean leaves the variance unchanged
-    # and keeps E[x^2] - mean^2 from cancelling on large offsets.
+    # The variance does not change under a shift (Chan, Golub & LeVeque
+    # 1983), and without one E[x^2] - mean^2 cancels on large offsets.
     pivot = x.mean(axis=(-3, -2, -1), keepdims=True)
     shifted = np.subtract(x, pivot, out=scratch)
     _pool_group(shifted, window, mean)
