@@ -12,11 +12,10 @@ Every kernel works on the last two axes of an array of any rank, so a
 along them gives bit for bit what a call on that 2-D slice alone gives.
 Accumulation is float64.
 
-Every mean and variance, those of ``local_mean_var`` and the IN/GN
-statistics of ``tlc.modules``, comes from one private helper. It shifts
-each map, or group of maps, by its own mean before any table is built
-and adds the mean back afterwards: the variance does not change under a
-shift, and E[x^2] - mean^2 no longer cancels on a large offset.
+Every mean and variance (``local_mean_var``, and IN/GN in
+``tlc.modules``) comes from one private helper, which shifts each map or
+group of maps by its own mean before any table is built, so that
+E[x^2] - mean^2 does not cancel on a large offset.
 
 ``local_aggregate``, ``local_max`` and ``local_mean_var`` cut a map of
 at least 2**20 values along axis 0 into blocks of whole rows, at most
@@ -24,8 +23,8 @@ at least 2**20 values along axis 0 into blocks of whole rows, at most
 cores. The blocks run in order on one thread per core the process may
 use, each writing its part of one preallocated output; smaller maps,
 and calls made from those threads, stay on the calling thread. Results
-are bit-identical to a single-thread run. There is no setting for it, and BLAS threading is
-not touched.
+are bit-identical to a single-thread run. There is no setting for it,
+and BLAS threading is not touched.
 """
 
 from __future__ import annotations
