@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateScale, PatchTooLarge
+from .errors import DegenerateScale, NonFiniteValue, PatchTooLarge
 from .integral import PointwiseMap, local_aggregate
 from .tensor import FeatureMap, WindowSpec
 
@@ -55,6 +55,8 @@ class Layer:
     has_global_op: bool = True
 
     def __post_init__(self):
+        if not self.name:
+            raise ValueError("layer name must be non-empty")
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"layer {self.name}: scale must be positive and finite")
 
@@ -64,6 +66,9 @@ class LayerGraph:
     layers: tuple[Layer, ...]
 
     def __post_init__(self):
+        names = [l.name for l in self.layers]
+        if len(set(names)) < len(names):
+            raise ValueError(f"layer names must be unique, got {names}")
         if not any(l.has_global_op for l in self.layers):
             raise ValueError("at least one layer must carry a global op")
 
@@ -166,39 +171,34 @@ def histogram(s: SampleSet, bins: int) -> list[tuple[float, int]]:
 # --- synthetic shift experiment ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurrogateStack:
-    """Fixed random per-channel affine plus tanh, standing in for the
-    feature extractor in front of a pooling layer."""
+def _shift_source(seed: int, channels: int, height: int, width: int):
+    """The experiment's maps: a per-image random-phase sine ridge of
+    amplitude 0.8 plus unit white noise, so the mean drifts spatially and
+    patch statistics depend on where the patch lands while full-map
+    statistics concentrate; then a fixed random per-channel affine and
+    tanh, which stand in for the feature extractor in front of a pooling
+    layer.
 
-    scale: np.ndarray
-    shift: np.ndarray
-
-    @classmethod
-    def from_seed(cls, seed: int, channels: int) -> "SurrogateStack":
-        rng = np.random.default_rng(seed)
-        return cls(
-            scale=rng.uniform(0.5, 1.5, size=channels),
-            shift=rng.uniform(-0.3, 0.3, size=channels),
-        )
-
-    def forward(self, fmap: FeatureMap) -> FeatureMap:
-        out = np.tanh(self.scale[:, None, None] * fmap.data
-                      + self.shift[:, None, None])
-        return FeatureMap(out)
-
-
-def nonstationary_source(channels=2, height=192, width=192, amplitude=0.8):
-    """Maps whose mean drifts spatially: a per-image random-phase sine
-    ridge plus unit white noise, so patch statistics depend on where the
-    patch lands while full-map statistics concentrate."""
+    Each map is drawn and transformed in the one array it is drawn into:
+    fresh map-sized temporaries cost page faults on every map.
+    """
+    surrogate = np.random.default_rng(seed)
+    scale = surrogate.uniform(0.5, 1.5, size=channels)[:, None, None]
+    shift = surrogate.uniform(-0.3, 0.3, size=channels)[:, None, None]
+    steps = np.arange(height) / height
 
     def gen(rng: np.random.Generator) -> FeatureMap:
         phase = rng.uniform(0.0, 1.0)
-        rows = np.sin(2.0 * np.pi * (np.arange(height) / height + phase))
-        ridge = amplitude * rows[:, None]
-        noise = rng.standard_normal((channels, height, width))
-        return FeatureMap(noise + ridge[None, :, :])
+        ridge = 0.8 * np.sin(2.0 * np.pi * (steps + phase))[:, None]
+        x = rng.standard_normal((channels, height, width))
+        # tanh maps +-inf to +-1, so check the drawn map before it.
+        if not np.isfinite(x).all():
+            raise NonFiniteValue("drawn map contains NaN or Inf")
+        x += ridge
+        x *= scale
+        x += shift
+        np.tanh(x, out=x)
+        return FeatureMap(x)
 
     return gen
 
@@ -236,13 +236,7 @@ def run_shift_experiment(
     against windowed local means with the window set to the patch size.
     All randomness flows from the one seed through PCG64.
     """
-    h, w = map_size
-    stack = SurrogateStack.from_seed(seed, channels)
-    raw = nonstationary_source(channels, h, w)
-
-    def source(rng):
-        return stack.forward(raw(rng))
-
+    source = _shift_source(seed, channels, *map_size)
     rng = np.random.default_rng(seed)
     train = sample_pooled_stats(source, n, rng, patch=patch)
     test = sample_pooled_stats(source, n, rng)

@@ -131,6 +131,8 @@ def _apply_config(args: argparse.Namespace, defaults: dict):
     for dest, value in defaults.items():
         if getattr(args, dest) is None:
             setattr(args, dest, value)
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
 
 
 def _window(args) -> WindowSpec:
@@ -359,8 +361,8 @@ def cmd_calibrate(args) -> int:
             layers.append(analysis.Layer(name=name, scale=float(scale)))
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    graph = analysis.LayerGraph(tuple(layers))
     try:
+        graph = analysis.LayerGraph(tuple(layers))
         sizes = analysis.calibrate_windows(graph, *args.calib)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

@@ -13,6 +13,7 @@ whose seams the seam metric quantifies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,9 @@ class AttnParams:
     temperature: float = 1.0
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError(f"temperature must be positive and finite, "
+                             f"got {self.temperature}")
 
 
 def _axis_starts(length: int, k: int, s: int) -> list[int]:

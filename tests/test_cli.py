@@ -323,6 +323,8 @@ def test_aggregate_writes_to_a_pipe(tmp_path, rng):
     ["--k", "-3", "4"],
     ["--transform", "attention", "--temperature", "0"],
     ["--transform", "attention", "--temperature", "-1"],
+    ["--transform", "attention", "--temperature", "nan"],
+    ["--transform", "attention", "--temperature", "inf"],
 ], ids=" ".join)
 def test_fuse_bad_value_is_a_usage_error(tmp_path, rng, capsys, flags):
     inp = save_map(tmp_path, rng.standard_normal((2, 8, 8)))
@@ -396,4 +398,39 @@ def test_bad_number_is_a_usage_error(tmp_path, rng, capsys, command, flags, conf
         argv += ["--config", str(cfg)]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,out_flag", [
+    ("demo", "--outdir"),
+    ("bench", "--output"),
+    ("stats", "--outdir"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command, out_flag, source):
+    out = tmp_path / "out"
+    argv = [command, out_flag, str(out)]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 1
+    assert "--seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("layers", [
+    ["=0.5"],
+    ["a=0.5", "a=0.25"],
+    ["a=0.5", "b=1", "a=0.5"],
+], ids=" ".join)
+def test_calibrate_bad_layer_name_is_a_usage_error(tmp_path, capsys, layers):
+    out = tmp_path / "cal.csv"
+    argv = ["calibrate", "--output", str(out)]
+    for spec in layers:
+        argv += ["--layer", spec]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: layer name")
     assert not out.exists()

@@ -159,6 +159,12 @@ def test_attention_rows_stochastic(rng):
     assert np.max(np.abs(out)) <= np.max(np.abs(win)) + 1e-12
 
 
+@pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+def test_attention_temperature_must_be_positive_and_finite(temperature):
+    with pytest.raises(ValueError):
+        AttnParams(temperature)
+
+
 def test_attention_zero_channel_is_documented_noop(rng):
     win = np.zeros((3, 2, 2))
     win[0] = rng.standard_normal((2, 2))
