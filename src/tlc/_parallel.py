@@ -1,6 +1,7 @@
 """Leading-axis blocked map for the windowed kernels, the module bodies
-and the FeatureMap check, and the block size that TLCT I/O buffers
-share.
+and the FeatureMap check, the block size that TLCT I/O buffers share,
+and the round size in which ``convert`` computes the global output it
+streams to disk.
 
 An array of shape (N, ..., H, W) of at least 2**20 values is cut along
 axis 0 into contiguous blocks of whole rows of a few megabytes each,
@@ -82,6 +83,17 @@ def block_rows(shape) -> int:
     """Rows of axis 0 in one block of an array of this shape: as many
     whole rows as fit in the block size, at least one."""
     return max(1, _BLOCK_VALUES // math.prod(shape[1:]))
+
+
+def round_rows(shape) -> int:
+    """Rows of axis 0 in one round of a stream over an array of this
+    shape, for a caller that computes a stream's rows a round at a time
+    into reused scratch: a whole number of blocks, at least one per
+    worker and at least the size floor (or the whole array), so that
+    leading_map runs every round on all the workers."""
+    rows = block_rows(shape)
+    floor = min(_MIN_VALUES / math.prod(shape[1:]), shape[0])
+    return rows * math.ceil(max(_WORKERS * rows, floor) / rows)
 
 
 def leading_map(fn, *arrays, out=None):

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, demo, fusion, modules
-from ._parallel import block_rows
+from ._parallel import leading_map, round_rows
 from .errors import DataError, IoFailure, TlcError
 from .integral import (
     PointwiseMap,
@@ -165,12 +165,12 @@ def load_se_params(manifest: dict, base: Path) -> modules.SeParams:
 def load_norm_params(manifest: dict, base: Path, kind: str) -> modules.NormParams:
     gamma = _manifest_tensor(manifest, "norm.gamma", base).reshape(-1)
     beta = _manifest_tensor(manifest, "norm.beta", base).reshape(-1)
-    eps = float(manifest.get("norm.eps", "1e-5"))
-    if kind == "in":
-        groups = gamma.size
-    else:
-        groups = int(manifest.get("norm.groups", "1"))
-    return modules.NormParams(gamma=gamma, beta=beta, eps=eps, groups=groups)
+    try:
+        eps = float(manifest.get("norm.eps", "1e-5"))
+        groups = gamma.size if kind == "in" else int(manifest.get("norm.groups", "1"))
+        return modules.NormParams(gamma=gamma, beta=beta, eps=eps, groups=groups)
+    except ValueError as exc:
+        raise DataError(f"params manifest: {exc}") from exc
 
 
 # --- subcommands -------------------------------------------------------------
@@ -235,6 +235,20 @@ def _module_forward(kind: str, x: FeatureMap, params, window):
     raise UsageError(f"unknown module {kind!r}")
 
 
+def _global_steps(kind: str, x: FeatureMap, params):
+    """The coefficient step of a module's global mode (see tlc.modules):
+    its per-block apply step and the (C, 1, 1) coefficients it takes."""
+    if kind == "se":
+        return modules._se_global(x, params)
+    if kind in ("in", "gn"):
+        return modules._norm_global(x, params)
+    if kind == "ge":
+        return modules._ge_global(x)
+    if kind == "cbam":
+        return modules._cbam_global(x, params)
+    raise UsageError(f"unknown module {kind!r}")
+
+
 def cmd_convert(args) -> int:
     _apply_config(args, {"k": [384, 384]})
     if not args.input or not args.outdir or not args.module:
@@ -255,16 +269,20 @@ def cmd_convert(args) -> int:
         else:
             params = load_norm_params(manifest, base, kind)
 
-    out_global = _module_forward(kind, x, params, None)
+    # The global output is never a full map: it is computed a block at a
+    # time from the coefficients while global.tlct and absdiff.tlct are
+    # written.
+    steps = _global_steps(kind, x, params)
     out_local = _module_forward(kind, x, params, window)
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    write_tensor(out_global, outdir / "global.tlct")
+    shape = x.data.shape
+    _write_rows(outdir / "global.tlct", shape, _global_rows(x.data, *steps))
     write_tensor(out_local, outdir / "local.tlct")
     channel_max = np.empty(x.channels)
-    _write_rows(outdir / "absdiff.tlct", out_global.data.shape,
-                _absdiff_rows(out_global.data, out_local.data, channel_max))
+    _write_rows(outdir / "absdiff.tlct", shape,
+                _global_rows(x.data, *steps, out_local.data, channel_max))
 
     macs = modules.module_macs(kind, x.channels, x.height, x.width, ratio)
     rows = [
@@ -279,18 +297,40 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _absdiff_rows(a: np.ndarray, b: np.ndarray, channel_max: np.ndarray):
-    """rows(lo, hi) for tensor._write_rows: |a - b| over channels lo:hi,
-    computed in one scratch array of one block. Fills channel_max[lo:hi]
-    as a side effect."""
-    scratch = np.empty((min(block_rows(a.shape), len(a)),) + a.shape[1:])
+def _global_rows(x: np.ndarray, apply, coefficients: tuple,
+                 local: np.ndarray | None = None, channel_max: np.ndarray | None = None):
+    """rows(lo, hi) for tensor._write_rows: the global output over
+    channels lo:hi, the apply step on x and the coefficients or, given
+    the local output, |global - local| there, which also fills
+    channel_max[lo:hi].
+
+    Rows are computed a round (``round_rows``) at a time into one reused
+    scratch array, one block per worker through leading_map, and handed
+    out a block at a time.
+    """
+    scratch = np.empty((min(round_rows(x.shape), len(x)),) + x.shape[1:])
+    arrays = (x,) + coefficients
+    if local is None:
+        fn = apply
+    else:
+        arrays += (local, channel_max)
+
+        def fn(*blocks):
+            *inputs, loc, cmax, out = blocks
+            d = apply(*inputs, out)
+            np.subtract(d, loc, out=d)
+            np.abs(d, out=d)
+            np.max(d, axis=(-2, -1), out=cmax)
+            return d
+
+    start = end = 0  # the channels now in scratch
 
     def rows(lo: int, hi: int) -> np.ndarray:
-        d = scratch[:hi - lo]
-        np.subtract(a[lo:hi], b[lo:hi], out=d)
-        np.abs(d, out=d)
-        np.max(d, axis=(-2, -1), out=channel_max[lo:hi])
-        return d
+        nonlocal start, end
+        if hi > end:
+            start, end = lo, min(lo + len(scratch), len(x))
+            leading_map(fn, *(a[start:end] for a in arrays), out=scratch[:end - start])
+        return scratch[lo - start:hi - start]
 
     return rows
 

@@ -12,10 +12,20 @@ Each forward pass runs in one of two modes sharing the same parameters:
 
 For every pixel whose window lies fully inside the map, the local output
 equals the global module applied to the window-sized crop centered there.
+
+Global mode is two private steps. A coefficient step reads the whole map
+and returns a few values per channel, shaped (C, 1, 1): the sigmoid gate
+for SE, CBAM and GE, or the group mean and sqrt(var + eps) with gamma
+and beta for IN/GN. An apply step then writes any block of channels of
+the output from those values and the same channels of x. The public
+forward runs the apply step over the whole map; ``tlc convert`` runs it
+per block and writes each block to disk, so the global output never
+exists as a full map there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,27 +36,29 @@ from .integral import PointwiseMap, _mean_var, local_aggregate, local_max
 from .tensor import FeatureMap, WindowSpec
 
 
-def _gate(x: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """x * sigmoid(z), where z is a gate the caller has just computed.
-
-    Every step of 1 / (1 + exp(-z)) runs in z's own memory, and when the
-    gate is full size (local mode) the product lands there too, unless
-    ``out`` is given: on a full-resolution map each full-size temporary
-    costs more than the arithmetic it holds. z must therefore be an
-    array no one else sees; x is only read. The work runs per channel
-    slice.
-    """
-    if out is None and z.shape == x.shape:
-        out = z
-    return leading_map(_sigmoid_times, x, z, out=out)
-
-
-def _sigmoid_times(x: np.ndarray, z: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)), every step in z's own memory."""
     np.negative(z, out=z)
     np.exp(z, out=z)
     z += 1.0
-    np.divide(1.0, z, out=z)
-    return np.multiply(x, z, out=out)
+    return np.divide(1.0, z, out=z)
+
+
+def _gate(x: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x * sigmoid(z) for a full-size (local-mode) gate z that the caller
+    has just computed.
+
+    The sigmoid runs in z's own memory, and the product lands there too
+    unless ``out`` is given: on a full-resolution map each full-size
+    temporary costs more than the arithmetic it holds. z must therefore
+    be an array no one else sees; x is only read. The work runs per
+    channel slice.
+    """
+    return leading_map(_sigmoid_times, x, z, out=z if out is None else out)
+
+
+def _sigmoid_times(x: np.ndarray, z: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    return np.multiply(x, _sigmoid(z), out=out)
 
 
 @dataclass(frozen=True)
@@ -92,8 +104,8 @@ class NormParams:
         b = np.asarray(self.beta, dtype=np.float64).reshape(-1)
         if g.shape != b.shape:
             raise ShapeMismatch(f"gamma {g.shape} vs beta {b.shape}")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if self.groups < 1 or g.size % self.groups != 0:
             raise InvalidGroupCount(
                 f"groups {self.groups} does not divide C={g.size}"
@@ -111,6 +123,13 @@ def _check_channels(x: FeatureMap, c: int):
         raise ShapeMismatch(f"feature map has {x.channels} channels, params want {c}")
 
 
+def _per_map(reduce, x: np.ndarray) -> np.ndarray:
+    """reduce (np.mean or np.max) over the last two axes of every map of
+    x, kept as 1 x 1, one block of maps per core."""
+    return leading_map(lambda xs, out: reduce(xs, axis=(-2, -1), keepdims=True, out=out),
+                       x, out=np.empty(x.shape[:-2] + (1, 1)))
+
+
 def _pool(x: np.ndarray, window: WindowSpec | None) -> np.ndarray:
     """Mean over the last two axes: the whole map (global mode,
     kept as 1 x 1 so it broadcasts) or the window around every pixel
@@ -122,26 +141,113 @@ def _pool(x: np.ndarray, window: WindowSpec | None) -> np.ndarray:
     pool the fewer maps it yields.
     """
     if window is None:
-        return x.mean(axis=(-2, -1), keepdims=True)
+        return _per_map(np.mean, x)
     return local_aggregate(x, PointwiseMap.IDENTITY, window)
 
 
 def _pool_max(x: np.ndarray, window: WindowSpec | None) -> np.ndarray:
     """Maximum over the last two axes, globally or per window, as _pool."""
     if window is None:
-        return x.max(axis=(-2, -1), keepdims=True)
+        return _per_map(np.max, x)
     return local_max(x, window)
+
+
+def _se_logits(x: FeatureMap, p: SeParams, window: WindowSpec | None) -> np.ndarray:
+    _check_channels(x, p.channels)
+    # tensordot over axis 0 applies (C_in, C_out) weights to (C_in, ...) maps.
+    hidden = _pool(np.tensordot(p.reduce_weights, x.data, axes=(0, 0)), window)
+    hidden = np.maximum(hidden, 0.0)
+    return np.tensordot(p.expand_weights, hidden, axes=(0, 0))
+
+
+def _cbam_logits(x: FeatureMap, p: SeParams, window: WindowSpec | None) -> np.ndarray:
+    _check_channels(x, p.channels)
+    # Max does not commute with the projection, so that branch pools all C;
+    # the shared expand is linear, so it runs once on the summed branches.
+    avg = _pool(np.tensordot(p.reduce_weights, x.data, axes=(0, 0)), window)
+    mx = np.tensordot(p.reduce_weights, _pool_max(x.data, window), axes=(0, 0))
+    hidden = np.maximum(avg, 0.0) + np.maximum(mx, 0.0)
+    return np.tensordot(p.expand_weights, hidden, axes=(0, 0))
+
+
+def _group_stats(g: np.ndarray, window: WindowSpec | None, eps: float,
+                 scratch: np.ndarray, mu: np.ndarray | None = None,
+                 sd: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and sqrt(var + eps) of each group of g (``integral._mean_var``)."""
+    mu, sd = _mean_var(g, window, scratch, mu, sd)
+    # sd starts as the variance and becomes sqrt(var + eps) in place.
+    sd += eps
+    np.sqrt(sd, out=sd)
+    return mu, sd
+
+
+def _grouped(x: FeatureMap, p: NormParams) -> np.ndarray:
+    """x as (groups, channels per group, H, W)."""
+    _check_channels(x, p.channels)
+    return x.data.reshape(p.groups, -1, x.height, x.width)
+
+
+# --- global mode --------------------------------------------------------------
+#
+# Apply steps. Each takes a block of channels of x, the same rows of the
+# (C, 1, 1) coefficients, and the block's output (None allocates it).
+
+
+def _scale(x: np.ndarray, gate: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    return np.multiply(x, gate, out=out)
+
+
+def _normalize(x: np.ndarray, mu: np.ndarray, sd: np.ndarray, gamma: np.ndarray,
+               beta: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    normed = np.subtract(x, mu, out=out)
+    normed /= sd
+    normed *= gamma
+    normed += beta
+    return normed
+
+
+def _global_forward(x: FeatureMap, apply, coefficients: tuple) -> FeatureMap:
+    """The global-mode output: the apply step over every block of channels."""
+    return FeatureMap(leading_map(apply, x.data, *coefficients))
+
+
+# Coefficient steps. Each reads the whole map and returns its apply step
+# and the (C, 1, 1) coefficients that step takes.
+
+
+def _se_global(x: FeatureMap, p: SeParams):
+    return _scale, (_sigmoid(_se_logits(x, p, None)),)
+
+
+def _cbam_global(x: FeatureMap, p: SeParams):
+    return _scale, (_sigmoid(_cbam_logits(x, p, None)),)
+
+
+def _ge_global(x: FeatureMap):
+    return _scale, (_sigmoid(_pool(x.data, None)),)
+
+
+def _norm_global(x: FeatureMap, p: NormParams):
+    """Each group's statistics, one block of groups per core with a
+    block-sized scratch, then repeated for each channel of the group."""
+    grouped = _grouped(x, p)
+    mu, sd = np.empty((2, p.groups, 1, 1, 1))
+    leading_map(lambda g, m, out: _group_stats(g, None, p.eps, np.empty(g.shape), m, out)[1],
+                grouped, mu, out=sd)
+    per_channel = grouped.shape[1]
+    mu, sd = (np.repeat(a, per_channel, axis=0).reshape(-1, 1, 1) for a in (mu, sd))
+    return _normalize, (mu, sd, p.gamma.reshape(-1, 1, 1), p.beta.reshape(-1, 1, 1))
+
+
+# --- forwards -----------------------------------------------------------------
 
 
 def se_forward(x: FeatureMap, p: SeParams, window: WindowSpec | None = None) -> FeatureMap:
     """Squeeze-and-excitation gating; local mode gates every pixel by the
     MLP of its windowed channel means."""
-    _check_channels(x, p.channels)
-    # tensordot over axis 0 applies (C_in, C_out) weights to (C_in, ...) maps.
-    hidden = _pool(np.tensordot(p.reduce_weights, x.data, axes=(0, 0)), window)
-    hidden = np.maximum(hidden, 0.0)
-    gate = np.tensordot(p.expand_weights, hidden, axes=(0, 0))
-    return FeatureMap(_gate(x.data, gate))
+    if window is None:
+        return _global_forward(x, *_se_global(x, p))
+    return FeatureMap(_gate(x.data, _se_logits(x, p, window)))
 
 
 def norm_forward(x: FeatureMap, p: NormParams, window: WindowSpec | None = None) -> FeatureMap:
@@ -149,33 +255,28 @@ def norm_forward(x: FeatureMap, p: NormParams, window: WindowSpec | None = None)
 
     Group statistics are means over the group's channels and the whole
     map or the window (``integral._mean_var``), so groups=C gives IN.
-    Groups are normalized one slice of groups per core.
+    In local mode groups are normalized one slice of groups per core.
     """
-    _check_channels(x, p.channels)
+    if window is None:
+        return _global_forward(x, *_norm_global(x, p))
     per_group = (p.groups, -1, 1, 1)
-    grouped = x.data.reshape(p.groups, -1, x.height, x.width)
 
     def body(g, gamma, beta, out):
         out = np.empty(g.shape) if out is None else out
         # The output block is the statistics' scratch until it is written.
-        mu, sd = _mean_var(g, window, out)
-        # sd starts as the variance and becomes sqrt(var + eps) in place.
-        sd += p.eps
-        np.sqrt(sd, out=sd)
-        normed = np.subtract(g, mu, out=out)
-        normed /= sd
-        normed *= gamma
-        normed += beta
-        return normed
+        mu, sd = _group_stats(g, window, p.eps, out)
+        return _normalize(g, mu, sd, gamma, beta, out)
 
-    normed = leading_map(body, grouped, p.gamma.reshape(per_group),
+    normed = leading_map(body, _grouped(x, p), p.gamma.reshape(per_group),
                          p.beta.reshape(per_group))
     return FeatureMap(normed.reshape(x.data.shape))
 
 
 def ge_forward(x: FeatureMap, window: WindowSpec | None = None) -> FeatureMap:
-    """Parameter-free gather gate: sigmoid of the pooled channel mean,
-    pooled and gated one slice of channels per core."""
+    """Parameter-free gather gate: sigmoid of the pooled channel mean;
+    in local mode pooled and gated one slice of channels per core."""
+    if window is None:
+        return _global_forward(x, *_ge_global(x))
     return FeatureMap(leading_map(lambda xs, out: _gate(xs, _pool(xs, window), out), x.data))
 
 
@@ -184,14 +285,9 @@ def cbam_channel_forward(
 ) -> FeatureMap:
     """CBAM channel branch: shared MLP over avg-pooled and max-pooled
     statistics, summed before the sigmoid."""
-    _check_channels(x, p.channels)
-    # Max does not commute with the projection, so that branch pools all C;
-    # the shared expand is linear, so it runs once on the summed branches.
-    avg = _pool(np.tensordot(p.reduce_weights, x.data, axes=(0, 0)), window)
-    mx = np.tensordot(p.reduce_weights, _pool_max(x.data, window), axes=(0, 0))
-    hidden = np.maximum(avg, 0.0) + np.maximum(mx, 0.0)
-    gate = np.tensordot(p.expand_weights, hidden, axes=(0, 0))
-    return FeatureMap(_gate(x.data, gate))
+    if window is None:
+        return _global_forward(x, *_cbam_global(x, p))
+    return FeatureMap(_gate(x.data, _cbam_logits(x, p, window)))
 
 
 # --- multiply-accumulate accounting -----------------------------------------

@@ -139,19 +139,24 @@ def test_criterion_4_complexity():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((512, 512))
     start = time.time()
-    med = {"integral": {}, "brute": {}}
+    paths = {}
     for k in (8, 32, 128):
         spec = WindowSpec(k, k)
-        for name, fn in (
-            ("integral", lambda: local_aggregate(x, PointwiseMap.IDENTITY, spec)),
-            ("brute", lambda: brute_force_local_mean(x, PointwiseMap.IDENTITY, spec)),
-        ):
-            times = []
-            for _ in range(5):
-                t0 = time.perf_counter()
-                fn()
-                times.append(time.perf_counter() - t0)
-            med[name][k] = statistics.median(times)
+        paths["integral", k] = lambda spec=spec: local_aggregate(x, PointwiseMap.IDENTITY, spec)
+        paths["brute", k] = lambda spec=spec: brute_force_local_mean(
+            x, PointwiseMap.IDENTITY, spec)
+    times = {key: [] for key in paths}
+    # Round-robin, one rep of every size and path at a time (as cmd_bench
+    # does), so a burst of machine noise slows every size a little rather
+    # than one size a lot.
+    for _ in range(5):
+        for key, fn in paths.items():
+            t0 = time.perf_counter()
+            fn()
+            times[key].append(time.perf_counter() - t0)
+    med = {"integral": {}, "brute": {}}
+    for (name, k), ts in times.items():
+        med[name][k] = statistics.median(ts)
     ratio_int = max(med["integral"].values()) / min(med["integral"].values())
     ratio_brute = med["brute"][128] / med["brute"][8]
     elapsed = time.time() - start

@@ -1,11 +1,15 @@
 import csv
+import errno
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tlc import _parallel, tensor
 from tlc.cli import main
+from tlc.errors import MalformedHeader
 from tlc.tensor import FeatureMap, read_tensor, write_tensor
 
 
@@ -434,3 +438,114 @@ def test_calibrate_bad_layer_name_is_a_usage_error(tmp_path, capsys, layers):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: layer name")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", [
+    "norm.eps=abc",
+    "norm.eps=-1",
+    "norm.eps=0",
+    "norm.eps=1e-400",
+    "norm.eps=nan",
+    "norm.eps=inf",
+    "norm.groups=x",
+])
+def test_bad_norm_param_is_a_data_error(tmp_path, rng, capsys, entry):
+    manifest = write_norm_manifest(tmp_path)
+    manifest.write_text(manifest.read_text() + entry + "\n")  # the last value wins
+    inp = save_map(tmp_path, rng.standard_normal((4, 20, 20)))
+    outdir = tmp_path / "conv"
+    assert main(["convert", "--module", "gn", "--input", str(inp),
+                 "--params", str(manifest), "--outdir", str(outdir),
+                 "--k", "5", "5"]) == 3
+    assert capsys.readouterr().err.startswith("data error: params manifest")
+    assert not outdir.exists()
+
+
+def _convert_inputs(d, shape):
+    rng = np.random.default_rng(11)
+    c = shape[0]
+    write_tensor(FeatureMap(rng.standard_normal(shape)), d / "x.tlct")
+    write_se_manifest(d, rng, c=c, ratio=4)
+    write_norm_manifest(d, c=c, groups=4)
+    return {"se": "se.params", "cbam": "se.params", "gn": "norm.params",
+            "in": "norm.params", "ge": None}
+
+
+def _convert_argv(d, module, params, outdir, k=32):
+    argv = ["convert", "--module", module, "--input", str(d / "x.tlct"),
+            "--outdir", str(outdir), "--k", str(k), str(k)]
+    return argv + (["--params", str(d / params)] if params else [])
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """A fresh pool of two threads, so that the blocks in flight do not
+    depend on the machine's core count."""
+    monkeypatch.setattr(_parallel, "_pool", None)
+    monkeypatch.setattr(_parallel, "_WORKERS", 2)
+    yield
+    if _parallel._pool is not None:
+        _parallel._pool.shutdown()
+
+
+# Peak traced memory of one convert of a 32x256x256 map (16.8 MB a map)
+# at k=32 on two workers. The input and the local output are 33.6 MB; the
+# global output is written from one round of 16 channels (8.4 MB) at a
+# time. A full-size global map read 57.2, 70.4, 57.2, 76.2 and 67.7 MB.
+CONVERT_PEAK_MB = {"se": 48, "cbam": 57, "gn": 48, "in": 63, "ge": 54}
+
+
+@pytest.mark.parametrize("module", sorted(CONVERT_PEAK_MB))
+def test_convert_holds_no_full_size_global_output(tmp_path, two_workers, module):
+    params = _convert_inputs(tmp_path, (32, 256, 256))[module]
+    argv = _convert_argv(tmp_path, module, params, tmp_path / "out")
+    assert main(argv) == 0  # starts the pool and creates the outputs
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= CONVERT_PEAK_MB[module] * 1e6
+
+
+def test_failed_global_stream_is_an_io_error_and_leaves_a_malformed_header(
+        tmp_path, monkeypatch, capsys):
+    params = _convert_inputs(tmp_path, (8, 19, 23))["se"]
+    monkeypatch.setattr(_parallel, "_BLOCK_VALUES", 2 * 19 * 23)
+    real_open = open
+    writes = []
+
+    class FailingFile:
+        """Fails the write after the zeroed header and the first block."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, data):
+            writes.append(memoryview(data).nbytes)
+            if len(writes) == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.fh.write(data)
+
+    def failing_open(path, mode, **kwargs):
+        fh = real_open(path, mode, **kwargs)
+        return FailingFile(fh) if str(path).endswith("global.tlct") else fh
+
+    monkeypatch.setattr(tensor, "open", failing_open, raising=False)
+    outdir = tmp_path / "out"
+    assert main(_convert_argv(tmp_path, "se", params, outdir, k=5)) == 2
+    assert capsys.readouterr().err.startswith("io error: cannot write")
+    assert writes == [20, 4 * 2 * 19 * 23, 4 * 2 * 19 * 23]
+    monkeypatch.undo()
+    with pytest.raises(MalformedHeader):
+        read_tensor(outdir / "global.tlct")

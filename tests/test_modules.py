@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlc.errors import InvalidGroupCount, ShapeMismatch
 from tlc.modules import (
@@ -283,3 +285,98 @@ def test_forward_leaves_caller_array_untouched(kind, window, rng, params):
     assert arr.flags.writeable
     assert arr.tobytes() == before
     assert not np.shares_memory(out.data, arr)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+def test_norm_eps_must_be_positive_and_finite(eps):
+    with pytest.raises(ValueError, match="eps"):
+        NormParams(gamma=np.ones(2), beta=np.zeros(2), eps=eps)
+
+
+# --- crop law, property-based ------------------------------------------------
+#
+# For every pixel, the local output equals the global module run on the
+# window-sized crop whose centre is nearest to it (its own window, or
+# the replicated edge window), at that pixel's place in the crop. The
+# global module is itself checked against plain numpy formulas.
+
+CROP_LAW_SETTINGS = settings(derandomize=True, deadline=None, database=None,
+                             max_examples=40)
+MODULES = ("se", "cbam", "ge", "in", "gn")
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _window_side(dim):
+    # k = 1, any k inside the map (even and odd), and k at or past the map.
+    return st.one_of(st.just(1), st.integers(1, dim), st.integers(dim, dim + 5))
+
+
+@st.composite
+def crop_law_case(draw):
+    c = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    h = draw(st.integers(1, 20))
+    w = draw(st.integers(1, 20))
+    window = WindowSpec(draw(_window_side(h)), draw(_window_side(w)))
+    offset = draw(st.one_of(st.sampled_from([0.0, 1e4, -1e4]), st.floats(-1e4, 1e4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Channels of one GN group may sit on different offsets.
+    x = rng.standard_normal((c, h, w)) + offset * rng.uniform(0.5, 1.0, (c, 1, 1))
+    params = {
+        "se": make_se_params(rng, c, ratio=draw(st.sampled_from(_divisors(c)))),
+        "in": make_norm_params(rng, c, groups=c),
+        "gn": make_norm_params(rng, c, groups=draw(st.sampled_from(_divisors(c)))),
+    }
+    pixels = draw(st.lists(st.tuples(st.integers(0, h - 1), st.integers(0, w - 1)),
+                           min_size=1, max_size=5))
+    corners = [(0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1)]
+    return FeatureMap(x), params, window, sorted(set(pixels + corners))
+
+
+def _sigmoid(z):
+    with np.errstate(over="ignore"):  # exp(-z) = inf gives a gate of 0
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+def _plain_global(kind, x, params):
+    """The global module in plain numpy, from per-channel means and maxima."""
+    if kind in ("in", "gn"):
+        return _two_pass_norm(x, params[kind])
+    mean, peak = x.mean(axis=(1, 2)), x.max(axis=(1, 2))
+    if kind == "ge":
+        return x * _sigmoid(mean)[:, None, None]
+    p = params["se"]
+    hidden = np.maximum(p.reduce_weights.T @ mean, 0.0)
+    if kind == "cbam":
+        hidden += np.maximum(p.reduce_weights.T @ peak, 0.0)
+    return x * _sigmoid(p.expand_weights.T @ hidden)[:, None, None]
+
+
+def _tolerance(kind, x):
+    # Gates scale x, whose offset sets the rounding of the pooled
+    # statistics; norms give values of the order of gamma and beta.
+    return 1e-10 if kind in ("in", "gn") else 1e-13 * (1.0 + np.abs(x).max())
+
+
+@pytest.mark.parametrize("kind", MODULES)
+@CROP_LAW_SETTINGS
+@given(case=crop_law_case())
+def test_crop_law_holds_for_every_module_in_both_modes(kind, case):
+    x, params, window, pixels = case
+    forward = FORWARDS[kind]
+    tol = _tolerance(kind, x.data)
+    glob = forward(x, params, None).data
+    assert np.max(np.abs(glob - _plain_global(kind, x.data, params))) <= tol
+    local = forward(x, params, window).data
+    h, w = x.height, x.width
+    k_h, k_w = window.effective(h, w)
+    for i, j in pixels:
+        top = min(max(i - (k_h - 1) // 2, 0), h - k_h)
+        left = min(max(j - (k_w - 1) // 2, 0), w - k_w)
+        crop = FeatureMap(x.data[:, top:top + k_h, left:left + k_w].copy())
+        want = forward(crop, params, None).data[:, i - top, j - left]
+        assert np.max(np.abs(local[:, i, j] - want)) <= tol
+    if (k_h, k_w) == (h, w):  # one window covers the map: local is global
+        assert np.max(np.abs(local - glob)) <= tol

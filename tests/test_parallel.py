@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import tlc.integral
-from tlc import _parallel
+from tlc import _parallel, modules
 from tlc.cli import main as cli_main
 from tlc.errors import NonFiniteValue, TruncatedPayload
 from tlc.integral import (
@@ -473,3 +473,42 @@ def test_convert_outputs_are_byte_identical_serial_and_in_blocks(monkeypatch, tm
     blocked = _convert_all(tmp_path, tmp_path / "blocked")
     assert recording.tasks > 0
     assert len(serial) == 5 * 4 and blocked == serial
+
+
+# --- global mode: coefficients, then the apply step in blocks ---------------
+
+
+def _global_steps(c):
+    """Each module's global coefficient step on a map, with the same
+    parameters as _forwards(c)."""
+    rng = np.random.default_rng(c)
+    ratio = next(r for r in (3, 2, 1, c) if c % r == 0)
+    se = SeParams(rng.standard_normal((c, c // ratio)),
+                  rng.standard_normal((c // ratio, c)), ratio=ratio)
+    gamma, beta = rng.uniform(0.5, 1.5, c), rng.uniform(-0.5, 0.5, c)
+    groups = next(g for g in (3, 2, 1) if c % g == 0)
+    return {
+        "se": lambda x: modules._se_global(x, se),
+        "cbam": lambda x: modules._cbam_global(x, se),
+        "gn": lambda x: modules._norm_global(x, NormParams(gamma, beta, groups=groups)),
+        "in": lambda x: modules._norm_global(x, NormParams(gamma, beta, groups=c)),
+        "ge": modules._ge_global,
+    }
+
+
+@pytest.mark.parametrize("module", ["se", "cbam", "gn", "in", "ge"])
+@pytest.mark.parametrize("shape,workers,rows,blocks", BLOCKINGS[:4], ids=str)
+def test_global_coefficients_and_blocked_apply_equal_the_forward(
+        monkeypatch, recording, module, shape, workers, rows, blocks):
+    x = FeatureMap(_map(shape))
+    monkeypatch.setattr(_parallel, "_MIN_VALUES", float("inf"))
+    want = _forwards(shape[0])[module](x, None).data
+    monkeypatch.setattr(_parallel, "_MIN_VALUES", 0)
+    monkeypatch.setattr(_parallel, "_WORKERS", workers)
+    monkeypatch.setattr(_parallel, "_BLOCK_VALUES", rows * x.data[0].size)
+    apply, coefficients = _global_steps(shape[0])[module](x)
+    assert all(a.shape == (shape[0], 1, 1) for a in coefficients)
+    got = np.full(shape, np.nan)
+    assert _parallel.leading_map(apply, x.data, *coefficients, out=got) is got
+    assert np.array_equal(got, want)
+    assert (recording.tasks > 0) == (blocks > 0)
