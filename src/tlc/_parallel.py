@@ -9,8 +9,8 @@ and the blocks run in order on one shared thread pool with one thread
 per core the process may run on. A block's temporaries are then a few
 megabytes too, and are reused from one block to the next, where
 full-size temporaries would stream every step through memory and fault
-in fresh pages. NumPy and SciPy release the interpreter lock inside
-their loops, so the blocks compute at the same time. Every block goes
+in fresh pages. NumPy releases the interpreter lock inside its
+loops, so the blocks compute at the same time. Every block goes
 through exactly the arithmetic the whole-array call would give its
 rows, so results are bit-identical to the single-thread run. BLAS
 threading (``tensordot``) is not touched.

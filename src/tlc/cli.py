@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 import time
@@ -338,15 +339,18 @@ def _global_rows(x: np.ndarray, apply, coefficients: tuple,
 def _crop_law_spot_checks(kind, x: FeatureMap, params, window: WindowSpec,
                           local_out: FeatureMap, count=3):
     """Local output at interior pixels vs the global module on the
-    centered crop. The window is clamped to the map, so one always fits."""
+    centered crop. The window is clamped to the map, so one always fits;
+    a crop met twice (a window that spans the map) is run once."""
     k_h, k_w = window.effective(x.height, x.width)
-    rows = []
+    rows, refs = [], {}
     tops_r = np.linspace(0, x.height - k_h, num=count, dtype=int)
     tops_c = np.linspace(0, x.width - k_w, num=count, dtype=int)
     for t_r, t_c in zip(tops_r, tops_c):
         cy, cx = t_r + (k_h - 1) // 2, t_c + (k_w - 1) // 2
-        crop = FeatureMap(x.data[:, t_r:t_r + k_h, t_c:t_c + k_w].copy())
-        ref = _module_forward(kind, crop, params, None)
+        if (t_r, t_c) not in refs:
+            crop = FeatureMap(x.data[:, t_r:t_r + k_h, t_c:t_c + k_w].copy())
+            refs[t_r, t_c] = _module_forward(kind, crop, params, None)
+        ref = refs[t_r, t_c]
         err = float(
             np.max(np.abs(local_out.data[:, cy, cx]
                           - ref.data[:, cy - t_r, cx - t_c]))
@@ -546,7 +550,6 @@ def build_parser() -> _Parser:
     p.add_argument("--r", type=int, default=None, help="stride for strided-mean")
     p.add_argument("--brute-force", action="store_true", default=None,
                    help="use the O(K^2)-per-pixel reference path (--stat mean, var)")
-    p.set_defaults(func=cmd_aggregate)
 
     p = sub.add_parser("convert", help="run a module in global and local mode")
     common(p)
@@ -554,33 +557,28 @@ def build_parser() -> _Parser:
                    default=None)
     p.add_argument("--params", default=None, help="key=value params manifest")
     p.add_argument("--outdir", default=None)
-    p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("stats", help="pooled-statistic distribution shift")
     common(p)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--bins", type=int, default=None)
     p.add_argument("--outdir", default=None)
-    p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("calibrate", help="per-layer window sizes")
     common(p)
     p.add_argument("--calib", type=int, nargs=2, metavar=("H", "W"), default=None)
     p.add_argument("--layer", action="append", default=None,
                    metavar="NAME=SCALE")
-    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("bench", help="integral vs brute-force timing ratios")
     common(p)
     p.add_argument("--reps", type=int, default=None)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("demo", help="global vs local Wiener restoration")
     common(p)
     p.add_argument("--noise", choices=["none", "uniform", "two-region"],
                    default=None)
     p.add_argument("--outdir", default=None)
-    p.set_defaults(func=cmd_demo)
 
     p = sub.add_parser("fuse", help="overlap-tile transform and fusion")
     common(p)
@@ -589,15 +587,21 @@ def build_parser() -> _Parser:
                    default=None)
     p.add_argument("--temperature", type=float, default=None)
     p.add_argument("--outdir", default=None)
-    p.set_defaults(func=cmd_fuse)
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of every main call in this process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        # Looked up at each call, not held by the parser, so that a
+        # cmd_* function rebound on this module after import runs.
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,11 +1,15 @@
-"""Windowed aggregation kernels with O(HW) cost independent of window size.
+"""Windowed aggregation kernels: O(HW) means and O(HW log k) maxima.
 
 Global aggregation is the mean of a pointwise function over a whole
 channel; local aggregation restricts the mean to a k_h x k_w window
 around each pixel. Window means come from a summed-area table (four
-lookups per window), window maxima from a separable running-max filter,
-so the cost is O(HW) regardless of the window. Edge pixels get the
-replicated value of the nearest interior window center.
+lookups per window), so their cost is O(HW) regardless of the window.
+Window maxima come from a running max by doubling, rows then columns:
+each step takes m[i] = max(m[i], m[i + lag]) along one axis, and at
+most floor(log2 k) + 1 steps per axis give every window of exactly k
+values. Max is exact, so the result does not depend on the order of
+the steps. Edge pixels get the replicated value of the
+nearest interior window center.
 
 Every kernel works on the last two axes of an array of any rank, so a
 (C, H, W) map is one call: leading axes are batch axes, and each slice
@@ -32,7 +36,6 @@ from __future__ import annotations
 from enum import Enum
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 
 from ._parallel import leading_map
 from .errors import EmptyWindowSample
@@ -227,22 +230,41 @@ def _pool_group(x: np.ndarray, window: WindowSpec | None, out: np.ndarray) -> np
     return _aggregate(x, PointwiseMap.IDENTITY, k_h, k_w, out)
 
 
-def _valid_running_max(x: np.ndarray, size: int, axis: int) -> np.ndarray:
-    # Right-aligned running max, then slice to the valid range; O(n) per
-    # line regardless of size.
-    if size == 1:
-        return x
-    y = maximum_filter1d(x, size=size, axis=axis, mode="nearest",
-                         origin=(size - 1) // 2)
-    sl = [slice(None)] * x.ndim
-    sl[axis] = slice(size - 1, None)
-    return y[tuple(sl)]
+def _max_lags(k: int) -> list[int]:
+    """Lags of the steps m[i] = max(m[i], m[i + lag]) that widen a
+    running max from 1 value to exactly k: doubling up to the largest
+    power of two p <= k, then one step of k - p <= p, whose two windows
+    overlap."""
+    lags, width = [], 1
+    while 2 * width <= k:
+        lags.append(width)
+        width *= 2
+    if width < k:
+        lags.append(k - width)
+    return lags
 
 
 def _max(x: np.ndarray, k_h: int, k_w: int, out: np.ndarray | None) -> np.ndarray:
-    interior = _valid_running_max(x, k_w, axis=-1)
-    interior = _valid_running_max(interior, k_h, axis=-2)
-    return replicate_to_full(interior, x.shape[-2], x.shape[-1], k_h, k_w, out=out)
+    h, w = x.shape[-2:]
+    if out is None:
+        out = np.empty(x.shape)
+    # Rows first: each of their steps is one np.maximum over whole rows,
+    # and they shrink the map to its valid rows before the column steps.
+    steps = [(lag, 0) for lag in _max_lags(k_h)] + [(0, lag) for lag in _max_lags(k_w)]
+    # A step never writes over what it reads: the steps alternate between
+    # out and one scratch, and the last writes the interior straight into
+    # out's centre, where replicate_to_full leaves it.
+    scratch = np.empty(x.shape) if len(steps) > 1 else None
+    m = x
+    for i, (d_h, d_w) in enumerate(steps):
+        left = len(steps) - 1 - i  # steps after this one
+        n_h, n_w = m.shape[-2] - d_h, m.shape[-1] - d_w
+        if left == 0:
+            dst = _centre(out, n_h, n_w, k_h, k_w)
+        else:
+            dst = (out if left % 2 == 0 else scratch)[..., :n_h, :n_w]
+        m = np.maximum(m[..., :n_h, :n_w], m[..., d_h:, d_w:], out=dst)
+    return replicate_to_full(m, h, w, k_h, k_w, out=out)
 
 
 def local_max(x: np.ndarray, w: WindowSpec) -> np.ndarray:

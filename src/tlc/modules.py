@@ -39,7 +39,10 @@ from .tensor import FeatureMap, WindowSpec
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-z)), every step in z's own memory."""
     np.negative(z, out=z)
-    np.exp(z, out=z)
+    # Below z of about -709 exp(-z) overflows to inf, and the gate is
+    # then exactly 0, as it should be.
+    with np.errstate(over="ignore"):
+        np.exp(z, out=z)
     z += 1.0
     return np.divide(1.0, z, out=z)
 

@@ -1,13 +1,15 @@
 import csv
 import errno
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from tlc import _parallel, tensor
+from tlc import _parallel, cli, modules, tensor
 from tlc.cli import main
 from tlc.errors import MalformedHeader
 from tlc.tensor import FeatureMap, read_tensor, write_tensor
@@ -549,3 +551,40 @@ def test_failed_global_stream_is_an_io_error_and_leaves_a_malformed_header(
     monkeypatch.undo()
     with pytest.raises(MalformedHeader):
         read_tensor(outdir / "global.tlct")
+
+
+def test_importing_the_cli_leaves_scipy_unimported():
+    code = "import sys, tlc.cli; sys.exit('scipy' in sys.modules)"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_main_runs_a_command_function_rebound_after_the_first_call(monkeypatch, tmp_path):
+    assert main(["calibrate", "--layer", "a=1", "--output", str(tmp_path / "c.csv")]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_calibrate", lambda args: calls.append(args.layer) or 0)
+    assert main(["calibrate", "--layer", "b=2"]) == 0
+    assert calls == [["b=2"]]
+
+
+@pytest.mark.parametrize("k,references", [(64, 1), (5, 3)])
+def test_convert_runs_one_crop_reference_per_distinct_crop(tmp_path, rng, monkeypatch,
+                                                           k, references):
+    inp = save_map(tmp_path, rng.standard_normal((4, 10, 10)))
+    global_calls = []
+    forward = modules.ge_forward
+
+    def counting(x, window=None):
+        if window is None:
+            global_calls.append(x.data.shape)
+        return forward(x, window)
+
+    monkeypatch.setattr(modules, "ge_forward", counting)
+    outdir = tmp_path / "conv"
+    assert main(["convert", "--module", "ge", "--input", str(inp), "--outdir", str(outdir),
+                 "--k", str(k), str(k)]) == 0
+    assert len(global_calls) == references
+    with open(outdir / "report.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert len([row for row in rows if row[0].startswith("crop_check")]) == 3

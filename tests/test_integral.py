@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tlc import _parallel
 from tlc.errors import EmptyWindowSample
 from tlc.integral import (
     PointwiseMap,
@@ -167,6 +168,47 @@ def test_local_max_vs_oracle_exact(rng):
         got = local_max(x, WindowSpec(k_h, k_w))
         want = sliding_stats_oracle(x, WindowSpec(k_h, k_w))[2]
         assert np.array_equal(got, want)
+
+
+def _scipy_local_max(x, k_h, k_w):
+    """local_max with scipy.ndimage's running max as the oracle: valid
+    windows from a right-aligned maximum_filter, replicated by index
+    clipping."""
+    ndimage = pytest.importorskip("scipy.ndimage")
+    lead = (1,) * (x.ndim - 2)
+    valid = ndimage.maximum_filter(
+        x, size=lead + (k_h, k_w), mode="nearest",
+        origin=(0,) * len(lead) + ((k_h - 1) // 2, (k_w - 1) // 2),
+    )[..., k_h - 1:, k_w - 1:]
+    h, w = x.shape[-2:]
+    rows = np.clip(np.arange(h) - (k_h - 1) // 2, 0, valid.shape[-2] - 1)
+    cols = np.clip(np.arange(w) - (k_w - 1) // 2, 0, valid.shape[-1] - 1)
+    return valid[..., rows[:, None], cols[None, :]]
+
+
+def _tied_map(shape, seed=0):
+    # Seven distinct integer values, so most windows hold tied maxima.
+    return np.random.default_rng(seed).integers(-3, 4, size=shape).astype(np.float64)
+
+
+@pytest.mark.parametrize("shape", [(3, 9, 11), (1, 13), (12, 1), (2, 3, 7, 6)], ids=str)
+def test_local_max_equals_scipy_for_every_window(shape):
+    x = _tied_map(shape)
+    h, w = shape[-2:]
+    for k_h, k_w in itertools.product(range(1, h + 1), range(1, w + 1)):
+        want = _scipy_local_max(x, k_h, k_w)
+        assert np.array_equal(local_max(x, WindowSpec(k_h, k_w)), want), (k_h, k_w)
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 5])
+def test_blocked_local_max_equals_scipy(monkeypatch, rows_per_block):
+    x = _tied_map((7, 10, 12), seed=rows_per_block)
+    monkeypatch.setattr(_parallel, "_MIN_VALUES", 0)
+    monkeypatch.setattr(_parallel, "_WORKERS", 2)
+    monkeypatch.setattr(_parallel, "_BLOCK_VALUES", rows_per_block * 10 * 12)
+    for k_h, k_w in [(1, 1), (2, 1), (1, 12), (3, 5), (8, 7), (10, 12)]:
+        want = _scipy_local_max(x, k_h, k_w)
+        assert np.array_equal(local_max(x, WindowSpec(k_h, k_w)), want), (k_h, k_w)
 
 
 def test_strided_r1_bit_identical(rng):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -285,6 +287,20 @@ def test_forward_leaves_caller_array_untouched(kind, window, rng, params):
     assert arr.flags.writeable
     assert arr.tobytes() == before
     assert not np.shares_memory(out.data, arr)
+
+
+@pytest.mark.parametrize("kind", ["se", "cbam", "ge"])
+@pytest.mark.parametrize("window", [None, WindowSpec(3, 3)], ids=str)
+def test_gate_far_below_zero_is_zero_without_a_warning(kind, window, rng):
+    # Positive reduce and negative expand weights on a map at +1e4 (GE:
+    # a map at -1e4) give logits near -8e4, where exp(-z) overflows.
+    p = {"se": SeParams(np.ones((4, 2)), -np.ones((2, 4)), ratio=2)}
+    offset = -1e4 if kind == "ge" else 1e4
+    x = FeatureMap(rng.standard_normal((4, 16, 16)) + offset)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = FORWARDS[kind](x, p, window)
+    assert np.all(out.data == 0.0)
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
