@@ -24,15 +24,12 @@ from .fusion import (
     AttnParams,
     TilePlan,
     apply_and_fuse,
-    patch_inference_baseline,
     plan_tiles,
     seam_metric,
     transposed_attention,
 )
 from .integral import (
-    PointwiseMap,
     build_integral,
-    global_aggregate,
     local_aggregate,
     local_max,
     local_mean_var,

@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateScale, NonFiniteValue, PatchTooLarge
-from .integral import PointwiseMap, local_aggregate
+from .integral import local_aggregate
 from .tensor import FeatureMap, WindowSpec
 
 
@@ -52,7 +52,6 @@ class SampleSet:
 class Layer:
     name: str
     scale: float
-    has_global_op: bool = True
 
     def __post_init__(self):
         if not self.name:
@@ -69,8 +68,12 @@ class LayerGraph:
         names = [l.name for l in self.layers]
         if len(set(names)) < len(names):
             raise ValueError(f"layer names must be unique, got {names}")
-        if not any(l.has_global_op for l in self.layers):
-            raise ValueError("at least one layer must carry a global op")
+        if not self.layers:
+            raise ValueError("a layer graph needs at least one layer")
+
+
+# Windowed-mean samples drawn from each full map (TestImageTLC).
+_PIXELS_PER_MAP = 64
 
 
 def sample_pooled_stats(
@@ -79,13 +82,12 @@ def sample_pooled_stats(
     rng: np.random.Generator,
     patch: tuple[int, int] | None = None,
     window: WindowSpec | None = None,
-    pixels_per_map: int = 64,
 ) -> SampleSet:
     """Draw n pooled-mean samples from maps produced by ``source(rng)``.
 
     patch given: each sample is the mean of a random patch (TrainPatch).
     window given: samples are windowed local means at random pixels of
-    full maps, ``pixels_per_map`` per map (TestImageTLC).
+    full maps, ``_PIXELS_PER_MAP`` per map (TestImageTLC).
     Neither: each sample is one full-map mean (TestImage).
     """
     if n < 1:
@@ -110,8 +112,8 @@ def sample_pooled_stats(
             fmap = source(rng)
             # The windowed mean is linear: pooling the channel mean equals
             # averaging the per-channel pooled maps.
-            pooled = local_aggregate(fmap.data.mean(axis=0), PointwiseMap.IDENTITY, window)
-            take = min(pixels_per_map, n - len(values))
+            pooled = local_aggregate(fmap.data.mean(axis=0), window)
+            take = min(_PIXELS_PER_MAP, n - len(values))
             rows = rng.integers(0, pooled.shape[0], size=take)
             cols = rng.integers(0, pooled.shape[1], size=take)
             values.extend(pooled[rows, cols].tolist())
@@ -132,14 +134,12 @@ def ks_distance(a: SampleSet, b: SampleSet) -> float:
 
 
 def calibrate_windows(g: LayerGraph, calib_h: int, calib_w: int) -> dict[str, tuple[int, int]]:
-    """Per-layer window sizes: the spatial size each flagged layer sees
-    for a calib_h x calib_w input (round half up)."""
+    """Per-layer window sizes: the spatial size each layer sees for a
+    calib_h x calib_w input (round half up)."""
     if calib_h < 1 or calib_w < 1:
         raise ValueError("calibration dims must be >= 1")
     out = {}
     for layer in g.layers:
-        if not layer.has_global_op:
-            continue
         k_h = calib_h * layer.scale + 0.5
         k_w = calib_w * layer.scale + 0.5
         if not (math.isfinite(k_h) and math.isfinite(k_w)):
@@ -199,13 +199,6 @@ def _shift_source(seed: int, channels: int, height: int, width: int):
         x += shift
         np.tanh(x, out=x)
         return FeatureMap(x)
-
-    return gen
-
-
-def white_noise_source(channels=1, height=256, width=256):
-    def gen(rng: np.random.Generator) -> FeatureMap:
-        return FeatureMap(rng.standard_normal((channels, height, width)))
 
     return gen
 

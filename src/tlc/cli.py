@@ -26,7 +26,6 @@ from . import analysis, demo, fusion, modules
 from ._parallel import leading_map, round_rows
 from .errors import DataError, IoFailure, TlcError
 from .integral import (
-    PointwiseMap,
     brute_force_local_mean,
     local_aggregate,
     local_max,
@@ -101,7 +100,25 @@ def _two_ints(s: str) -> list[int]:
     return values
 
 
+def _choice(options: tuple[str, ...]):
+    def convert(s: str) -> str:
+        if s not in options:
+            raise ValueError(f"expected one of {', '.join(options)}, got {s!r}")
+        return s
+    return convert
+
+
+# The values of each choice flag, for both the parser and config files.
+_STATS = ("mean", "var", "max", "strided-mean")
+_MODULES = ("se", "in", "gn", "ge", "cbam")
+_NOISES = ("none", "uniform", "two-region")
+_TRANSFORMS = ("identity", "attention", "mean-broadcast")
+
 _CONVERTERS = {
+    "stat": _choice(_STATS),
+    "module": _choice(_MODULES),
+    "noise": _choice(_NOISES),
+    "transform": _choice(_TRANSFORMS),
     "k": _two_ints,
     "stride": _two_ints,
     "seed": int,
@@ -152,10 +169,17 @@ def _manifest_tensor(manifest: dict, key: str, base: Path) -> np.ndarray:
     return read_tensor(base / manifest[key]).data
 
 
-def load_se_params(manifest: dict, base: Path) -> modules.SeParams:
+def _manifest_matrix(manifest: dict, key: str, base: Path) -> np.ndarray:
     # Matrices ride in TLCT tensors with a singleton width.
-    reduce_w = _manifest_tensor(manifest, "se.reduce", base)[:, :, 0]
-    expand_w = _manifest_tensor(manifest, "se.expand", base)[:, :, 0]
+    m = _manifest_tensor(manifest, key, base)
+    if m.shape[2] != 1:
+        raise DataError(f"{key} must have width 1, got {m.shape[2]}")
+    return m[:, :, 0]
+
+
+def load_se_params(manifest: dict, base: Path) -> modules.SeParams:
+    reduce_w = _manifest_matrix(manifest, "se.reduce", base)
+    expand_w = _manifest_matrix(manifest, "se.expand", base)
     c = reduce_w.shape[0]
     hidden = reduce_w.shape[1]
     if hidden < 1 or c % hidden != 0:
@@ -188,28 +212,26 @@ def cmd_aggregate(args) -> int:
     data = read_tensor(args.input).data
     if args.stat == "mean":
         if args.brute_force:
-            stat = brute_force_local_mean(data, PointwiseMap.IDENTITY, window)
+            stat = brute_force_local_mean(data, window)
         else:
-            stat = local_aggregate(data, PointwiseMap.IDENTITY, window)
+            stat = local_aggregate(data, window)
     elif args.stat == "var":
         if args.brute_force:
             # Centred on each channel's mean, so that the two means do
             # not cancel on a large offset.
             centred = data - data.mean(axis=(-2, -1), keepdims=True)
-            m = brute_force_local_mean(centred, PointwiseMap.IDENTITY, window)
-            sq = brute_force_local_mean(centred, PointwiseMap.SQUARE, window)
+            m = brute_force_local_mean(centred, window)
+            sq = brute_force_local_mean(centred * centred, window)
             stat = np.maximum(sq - m * m, 0.0)
         else:
             stat = local_mean_var(data, window)[1]
     elif args.stat == "max":
         stat = local_max(data, window)
-    elif args.stat == "strided-mean":
+    else:  # strided-mean
         try:
             stat = strided_local_mean(data, window, args.r)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    else:
-        raise UsageError(f"unknown stat {args.stat!r}")
     out = FeatureMap(stat)
     write_tensor(out, args.output)
     _write_csv(
@@ -231,9 +253,7 @@ def _module_forward(kind: str, x: FeatureMap, params, window):
         return modules.norm_forward(x, params, window)
     if kind == "ge":
         return modules.ge_forward(x, window)
-    if kind == "cbam":
-        return modules.cbam_channel_forward(x, params, window)
-    raise UsageError(f"unknown module {kind!r}")
+    return modules.cbam_channel_forward(x, params, window)
 
 
 def _global_steps(kind: str, x: FeatureMap, params):
@@ -245,9 +265,7 @@ def _global_steps(kind: str, x: FeatureMap, params):
         return modules._norm_global(x, params)
     if kind == "ge":
         return modules._ge_global(x)
-    if kind == "cbam":
-        return modules._cbam_global(x, params)
-    raise UsageError(f"unknown module {kind!r}")
+    return modules._cbam_global(x, params)
 
 
 def cmd_convert(args) -> int:
@@ -339,18 +357,16 @@ def _global_rows(x: np.ndarray, apply, coefficients: tuple,
 def _crop_law_spot_checks(kind, x: FeatureMap, params, window: WindowSpec,
                           local_out: FeatureMap, count=3):
     """Local output at interior pixels vs the global module on the
-    centered crop. The window is clamped to the map, so one always fits;
-    a crop met twice (a window that spans the map) is run once."""
+    centered crop, one row per distinct crop. The window is clamped to
+    the map, so one always fits."""
     k_h, k_w = window.effective(x.height, x.width)
-    rows, refs = [], {}
+    rows = []
     tops_r = np.linspace(0, x.height - k_h, num=count, dtype=int)
     tops_c = np.linspace(0, x.width - k_w, num=count, dtype=int)
-    for t_r, t_c in zip(tops_r, tops_c):
+    for t_r, t_c in dict.fromkeys(zip(tops_r.tolist(), tops_c.tolist())):
         cy, cx = t_r + (k_h - 1) // 2, t_c + (k_w - 1) // 2
-        if (t_r, t_c) not in refs:
-            crop = FeatureMap(x.data[:, t_r:t_r + k_h, t_c:t_c + k_w].copy())
-            refs[t_r, t_c] = _module_forward(kind, crop, params, None)
-        ref = refs[t_r, t_c]
+        crop = FeatureMap(x.data[:, t_r:t_r + k_h, t_c:t_c + k_w].copy())
+        ref = _module_forward(kind, crop, params, None)
         err = float(
             np.max(np.abs(local_out.data[:, cy, cx]
                           - ref.data[:, cy - t_r, cx - t_c]))
@@ -431,8 +447,8 @@ def cmd_bench(args) -> int:
     paths = {}
     for k in sizes:
         w = WindowSpec(k, k)
-        paths[("integral", k)] = lambda w=w: local_aggregate(x, PointwiseMap.IDENTITY, w)
-        paths[("brute", k)] = lambda w=w: brute_force_local_mean(x, PointwiseMap.IDENTITY, w)
+        paths[("integral", k)] = lambda w=w: local_aggregate(x, w)
+        paths[("brute", k)] = lambda w=w: brute_force_local_mean(x, w)
     for fn in paths.values():
         fn()  # warmup, keeps single-rep runs out of cold-start noise
     times = {key: [] for key in paths}
@@ -507,12 +523,10 @@ def cmd_fuse(args) -> int:
         op = lambda win: win
     elif args.transform == "attention":
         op = lambda win: fusion.transposed_attention(win, p)
-    elif args.transform == "mean-broadcast":
+    else:  # mean-broadcast
         op = lambda win: np.broadcast_to(
             win.mean(axis=(1, 2), keepdims=True), win.shape
         )
-    else:
-        raise UsageError(f"unknown transform {args.transform!r}")
     fused = fusion.apply_and_fuse(x, plan, op)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -545,16 +559,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("aggregate", help="windowed mean/var/max of a tensor")
     common(p)
-    p.add_argument("--stat", choices=["mean", "var", "max", "strided-mean"],
-                   default=None)
+    p.add_argument("--stat", choices=_STATS, default=None)
     p.add_argument("--r", type=int, default=None, help="stride for strided-mean")
     p.add_argument("--brute-force", action="store_true", default=None,
                    help="use the O(K^2)-per-pixel reference path (--stat mean, var)")
 
     p = sub.add_parser("convert", help="run a module in global and local mode")
     common(p)
-    p.add_argument("--module", choices=["se", "in", "gn", "ge", "cbam"],
-                   default=None)
+    p.add_argument("--module", choices=_MODULES, default=None)
     p.add_argument("--params", default=None, help="key=value params manifest")
     p.add_argument("--outdir", default=None)
 
@@ -576,15 +588,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("demo", help="global vs local Wiener restoration")
     common(p)
-    p.add_argument("--noise", choices=["none", "uniform", "two-region"],
-                   default=None)
+    p.add_argument("--noise", choices=_NOISES, default=None)
     p.add_argument("--outdir", default=None)
 
     p = sub.add_parser("fuse", help="overlap-tile transform and fusion")
     common(p)
-    p.add_argument("--transform",
-                   choices=["identity", "attention", "mean-broadcast"],
-                   default=None)
+    p.add_argument("--transform", choices=_TRANSFORMS, default=None)
     p.add_argument("--temperature", type=float, default=None)
     p.add_argument("--outdir", default=None)
     return parser

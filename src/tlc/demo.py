@@ -1,9 +1,9 @@
 """Denoising demo: global versus windowed statistics driving a Wiener gain.
 
-The scene is a smooth signal corrupted by zero-mean noise whose standard
-deviation may vary across the image. The restorer shrinks each pixel
-toward its windowed mean with gain g = s2 / (s2 + n2), where s2 and n2
-are signal and noise power estimates. The only difference between the
+The scene is a smooth 192 x 192 signal (PSNR peak 1) corrupted by
+zero-mean noise whose standard deviation may vary across the image. The
+restorer shrinks each pixel toward its windowed mean with gain
+g = s2 / (s2 + n2), where s2 and n2 are signal and noise power estimates. The only difference between the
 two variants is where the noise power comes from: one number for the
 whole image (global statistics) or a per-pixel windowed estimate. When
 the noise is spatially uniform the two agree; when it is not, the global
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integral import PointwiseMap, local_aggregate, local_mean_var
+from .integral import local_aggregate, local_mean_var
 from .tensor import FeatureMap, MetricReport, WindowSpec, psnr
 
 # Residual from a 3x3 box mean has noise power (8/9) * sigma^2 for iid
@@ -26,6 +26,10 @@ from .tensor import FeatureMap, MetricReport, WindowSpec, psnr
 # unchanged instead of chasing curvature-level residuals.
 _RESIDUAL_CORRECTION = 9.0 / 8.0
 _NOISELESS_FRACTION = 1e-4
+# Noise standard deviations of the two regions.
+_SIGMA_LOW = 0.05
+_SIGMA_HIGH = 0.5
+_PEAK = 1.0
 
 
 def make_scene(
@@ -33,14 +37,12 @@ def make_scene(
     height: int = 192,
     width: int = 192,
     noise: str = "two-region",
-    sigma_low: float = 0.05,
-    sigma_high: float = 0.5,
 ) -> tuple[FeatureMap, FeatureMap]:
     """Clean and noisy single-channel maps.
 
-    noise: "none", "uniform" (sigma_high everywhere is too harsh for the
-    control, so the mean of the two sigmas is used), or "two-region"
-    (sigma_low on the left half, sigma_high on the right).
+    noise: "none", "uniform" (the high sigma everywhere is too harsh for
+    the control, so the mean of the two sigmas is used), or "two-region"
+    (the low sigma on the left half, the high one on the right).
     """
     ii = np.arange(height)[:, None] / height
     jj = np.arange(width)[None, :] / width
@@ -53,9 +55,9 @@ def make_scene(
     if noise == "none":
         sigma = np.zeros((height, width))
     elif noise == "uniform":
-        sigma = np.full((height, width), 0.5 * (sigma_low + sigma_high))
+        sigma = np.full((height, width), 0.5 * (_SIGMA_LOW + _SIGMA_HIGH))
     elif noise == "two-region":
-        sigma = np.where(jj < 0.5, sigma_low, sigma_high)
+        sigma = np.where(jj < 0.5, _SIGMA_LOW, _SIGMA_HIGH)
         sigma = np.broadcast_to(sigma, (height, width))
     else:
         raise ValueError(f"unknown noise layout {noise!r}")
@@ -74,14 +76,12 @@ def wiener_restore(noisy: FeatureMap, window: WindowSpec, local_noise: bool) -> 
     """
     y = noisy.data
     mean, total_var = local_mean_var(y, window)
-    residual = y - local_aggregate(y, PointwiseMap.IDENTITY, WindowSpec(3, 3))
+    residual = y - local_aggregate(y, WindowSpec(3, 3))
     r2 = residual * residual
     noiseless = (np.median(r2, axis=(-2, -1), keepdims=True)
                  < _NOISELESS_FRACTION * y.var(axis=(-2, -1), keepdims=True))
     if local_noise:
-        noise_var = _RESIDUAL_CORRECTION * local_aggregate(
-            r2, PointwiseMap.IDENTITY, window
-        )
+        noise_var = _RESIDUAL_CORRECTION * local_aggregate(r2, window)
     else:
         noise_var = _RESIDUAL_CORRECTION * r2.mean(axis=(-2, -1), keepdims=True)
     signal_var = np.maximum(total_var - noise_var, 0.0)
@@ -105,11 +105,8 @@ def run_demo(
     seed: int,
     window: WindowSpec = WindowSpec(32, 32),
     noise: str = "two-region",
-    height: int = 192,
-    width: int = 192,
-    peak: float = 1.0,
 ) -> DemoResult:
-    clean, noisy = make_scene(seed, height, width, noise)
+    clean, noisy = make_scene(seed, noise=noise)
     rg = wiener_restore(noisy, window, local_noise=False)
     rl = wiener_restore(noisy, window, local_noise=True)
     return DemoResult(
@@ -117,7 +114,7 @@ def run_demo(
         noisy=noisy,
         restored_global=rg,
         restored_local=rl,
-        psnr_noisy=psnr(clean, noisy, peak),
-        psnr_global=psnr(clean, rg, peak),
-        psnr_local=psnr(clean, rl, peak),
+        psnr_noisy=psnr(clean, noisy, _PEAK),
+        psnr_global=psnr(clean, rg, _PEAK),
+        psnr_local=psnr(clean, rl, _PEAK),
     )

@@ -6,9 +6,8 @@ and average the overlaps back together. Here it is the baseline route
 for channel-wise transposed attention. (A seam-free route exists: the
 windowed Gram matrix of the channels is a set of box sums of channel
 products, so integral tables give every pixel the attention of its own
-window; see the ROADMAP.) The same machinery, driven by a whole-model
-pipeline instead of a single operator, is the patch-inference baseline
-whose seams the seam metric quantifies.
+window; see the ROADMAP.) The seam metric measures the steps that
+fusion leaves where tiles meet.
 """
 
 from __future__ import annotations
@@ -128,18 +127,6 @@ def transposed_attention(window: np.ndarray, p: AttnParams) -> np.ndarray:
     a = np.exp(logits)
     a /= a.sum(axis=1, keepdims=True)
     return (a @ v).reshape(window.shape)
-
-
-def patch_inference_baseline(x: FeatureMap, plan: TilePlan, pipeline) -> FeatureMap:
-    """Run a whole-map pipeline on each window independently and fuse.
-
-    This is the crop-and-stitch baseline; its output shows seams exactly
-    where the independently restored tiles meet.
-    """
-    def op(win: np.ndarray) -> np.ndarray:
-        return pipeline(FeatureMap(win)).data
-
-    return apply_and_fuse(x, plan, op)
 
 
 def seam_metric(x: FeatureMap, plan: TilePlan) -> float:

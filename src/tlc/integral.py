@@ -1,9 +1,9 @@
 """Windowed aggregation kernels: O(HW) means and O(HW log k) maxima.
 
-Global aggregation is the mean of a pointwise function over a whole
-channel; local aggregation restricts the mean to a k_h x k_w window
-around each pixel. Window means come from a summed-area table (four
-lookups per window), so their cost is O(HW) regardless of the window.
+Global aggregation is the mean over a whole channel; local aggregation
+restricts the mean to a k_h x k_w window around each pixel. Window means
+come from a summed-area table (four lookups per window), so their cost
+is O(HW) regardless of the window.
 Window maxima come from a running max by doubling, rows then columns:
 each step takes m[i] = max(m[i], m[i + lag]) along one axis, and at
 most floor(log2 k) + 1 steps per axis give every window of exactly k
@@ -33,8 +33,6 @@ and BLAS threading is not touched.
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 from ._parallel import leading_map
@@ -42,38 +40,18 @@ from .errors import EmptyWindowSample
 from .tensor import WindowSpec
 
 
-class PointwiseMap(Enum):
-    """The pointwise function aggregated over each window."""
+def build_integral(x: np.ndarray) -> np.ndarray:
+    """Summed-area table of x: shape (..., H+1, W+1), zero first row/col.
 
-    IDENTITY = "identity"
-    SQUARE = "square"
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        if self is PointwiseMap.IDENTITY:
-            return x
-        return x * x
-
-
-def global_aggregate(x: np.ndarray, f: PointwiseMap = PointwiseMap.IDENTITY) -> float:
-    """Mean of f over the entire H x W map."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(np.mean(f.apply(x)))
-
-
-def build_integral(x: np.ndarray, f: PointwiseMap = PointwiseMap.IDENTITY) -> np.ndarray:
-    """Summed-area table of f(x): shape (..., H+1, W+1), zero first row/col.
-
-    table[..., p, q] = sum of f(x[..., :p, :q]); any rectangle sum is then
+    table[..., p, q] = sum of x[..., :p, :q]; any rectangle sum is then
     four lookups. Accumulation is float64.
     """
     x = np.asarray(x, dtype=np.float64)
     h, w = x.shape[-2:]
     table = np.zeros(x.shape[:-2] + (h + 1, w + 1), dtype=np.float64)
-    # f(x) and both passes are written into the table itself, so nothing
-    # else of full size is allocated.
+    # Both passes are written into the table itself, so nothing else of
+    # full size is allocated.
     interior = table[..., 1:, 1:]
-    if f is PointwiseMap.SQUARE:
-        x = np.multiply(x, x, out=interior)
     np.cumsum(x, axis=-2, out=interior)
     np.cumsum(interior, axis=-1, out=interior)
     return table
@@ -134,10 +112,9 @@ def _same_view(a: np.ndarray, b: np.ndarray) -> bool:
             and a.shape == b.shape and a.strides == b.strides)
 
 
-def _aggregate(x: np.ndarray, f: PointwiseMap, k_h: int, k_w: int,
-               out: np.ndarray | None) -> np.ndarray:
+def _aggregate(x: np.ndarray, k_h: int, k_w: int, out: np.ndarray | None) -> np.ndarray:
     h, w = x.shape[-2:]
-    table = build_integral(x, f)
+    table = build_integral(x)
     if out is None:
         out = np.empty(x.shape)
     # The window sums land in the centre of the output itself, so the
@@ -147,10 +124,8 @@ def _aggregate(x: np.ndarray, f: PointwiseMap, k_h: int, k_w: int,
     return replicate_to_full(centre, h, w, k_h, k_w, out=out)
 
 
-def local_aggregate(
-    x: np.ndarray, f: PointwiseMap, w: WindowSpec
-) -> np.ndarray:
-    """Windowed mean of f around every pixel, O(HW) total.
+def local_aggregate(x: np.ndarray, w: WindowSpec) -> np.ndarray:
+    """Windowed mean around every pixel, O(HW) total.
 
     Windows are clamped to the map, so k >= map size reproduces the
     global mean at every pixel.
@@ -159,9 +134,8 @@ def local_aggregate(
     h, wid = x.shape[-2:]
     k_h, k_w = w.effective(h, wid)
     if k_h == 1 and k_w == 1:
-        # Identity window, exact. SQUARE already returns a new array.
-        return x.copy() if f is PointwiseMap.IDENTITY else f.apply(x)
-    return leading_map(lambda xs, out: _aggregate(xs, f, k_h, k_w, out), x)
+        return x.copy()  # identity window, exact
+    return leading_map(lambda xs, out: _aggregate(xs, k_h, k_w, out), x)
 
 
 def local_mean_var(x: np.ndarray, w: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +201,7 @@ def _pool_group(x: np.ndarray, window: WindowSpec | None, out: np.ndarray) -> np
         if x is not out:
             out[...] = x
         return out
-    return _aggregate(x, PointwiseMap.IDENTITY, k_h, k_w, out)
+    return _aggregate(x, k_h, k_w, out)
 
 
 def _max_lags(k: int) -> list[int]:
@@ -284,13 +258,13 @@ def strided_local_mean(x: np.ndarray, w: WindowSpec, stride: int) -> np.ndarray:
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if stride == 1:
-        return local_aggregate(x, PointwiseMap.IDENTITY, w)
+        return local_aggregate(x, w)
     x = np.asarray(x, dtype=np.float64)
     h, wid = x.shape[-2:]
     k_h, k_w = w.effective(h, wid)
     sampled = x[..., ::stride, ::stride]
     hs, ws = sampled.shape[-2:]
-    table = build_integral(sampled, PointwiseMap.IDENTITY)
+    table = build_integral(sampled)
 
     # Sampled indices p with t <= p*stride < t+k, for every valid top-left t.
     def bounds(n_tops, k, limit):
@@ -316,16 +290,15 @@ def strided_local_mean(x: np.ndarray, w: WindowSpec, stride: int) -> np.ndarray:
     return replicate_to_full(interior, h, wid, k_h, k_w)
 
 
-def brute_force_local_mean(x: np.ndarray, f: PointwiseMap, w: WindowSpec) -> np.ndarray:
+def brute_force_local_mean(x: np.ndarray, w: WindowSpec) -> np.ndarray:
     """O(HW * K^2) reference path: accumulate one shifted copy per window
     offset. Used for differential testing and the complexity benchmark."""
     x = np.asarray(x, dtype=np.float64)
     h, wid = x.shape[-2:]
     k_h, k_w = w.effective(h, wid)
-    fx = f.apply(x)
     acc = np.zeros(x.shape[:-2] + (h - k_h + 1, wid - k_w + 1), dtype=np.float64)
     n_h, n_w = acc.shape[-2:]
     for dy in range(k_h):
         for dx in range(k_w):
-            acc += fx[..., dy:dy + n_h, dx:dx + n_w]
+            acc += x[..., dy:dy + n_h, dx:dx + n_w]
     return replicate_to_full(acc / float(k_h * k_w), h, wid, k_h, k_w)

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._parallel import leading_map
 from .errors import InvalidGroupCount, ShapeMismatch
-from .integral import PointwiseMap, _mean_var, local_aggregate, local_max
+from .integral import _mean_var, local_aggregate, local_max
 from .tensor import FeatureMap, WindowSpec
 
 
@@ -145,7 +145,7 @@ def _pool(x: np.ndarray, window: WindowSpec | None) -> np.ndarray:
     """
     if window is None:
         return _per_map(np.mean, x)
-    return local_aggregate(x, PointwiseMap.IDENTITY, window)
+    return local_aggregate(x, window)
 
 
 def _pool_max(x: np.ndarray, window: WindowSpec | None) -> np.ndarray:

@@ -19,7 +19,6 @@ from tlc.fusion import (
     transposed_attention,
 )
 from tlc.integral import (
-    PointwiseMap,
     brute_force_local_mean,
     local_aggregate,
     local_max,
@@ -77,7 +76,7 @@ def test_criterion_1_oracle_equivalence():
         for k in (1, 2, 3, 5, 8, 24, 31):
             spec = WindowSpec(k, k)
             omean, ovar, omax = sliding_stats_oracle(x, spec)
-            mean = local_aggregate(x, PointwiseMap.IDENTITY, spec)
+            mean = local_aggregate(x, spec)
             _, var = local_mean_var(x, spec)
             mx = local_max(x, spec)
             ok &= float(np.max(np.abs(mean - omean))) < 1e-9
@@ -142,9 +141,8 @@ def test_criterion_4_complexity():
     paths = {}
     for k in (8, 32, 128):
         spec = WindowSpec(k, k)
-        paths["integral", k] = lambda spec=spec: local_aggregate(x, PointwiseMap.IDENTITY, spec)
-        paths["brute", k] = lambda spec=spec: brute_force_local_mean(
-            x, PointwiseMap.IDENTITY, spec)
+        paths["integral", k] = lambda spec=spec: local_aggregate(x, spec)
+        paths["brute", k] = lambda spec=spec: brute_force_local_mean(x, spec)
     times = {key: [] for key in paths}
     # Round-robin, one rep of every size and path at a time (as cmd_bench
     # does), so a burst of machine noise slows every size a little rather
@@ -259,13 +257,13 @@ def test_criterion_9_strided_approximation():
         x = rng.standard_normal((24, 24))
         spec = WindowSpec(7, 6)
         ok &= bool(np.array_equal(strided_local_mean(x, spec, 1),
-                                  local_aggregate(x, PointwiseMap.IDENTITY, spec)))
+                                  local_aggregate(x, spec)))
     const = np.full((32, 32), 2.75)
     for r in (1, 2, 3, 4):
         ok &= bool(np.all(strided_local_mean(const, WindowSpec(9, 9), r) == 2.75))
     ramp = (np.arange(64)[:, None] + 0.5 * np.arange(64)[None, :]).astype(float)
     spec = WindowSpec(16, 16)
-    exact = local_aggregate(ramp, PointwiseMap.IDENTITY, spec)
+    exact = local_aggregate(ramp, spec)
     errs = [float(np.max(np.abs(strided_local_mean(ramp, spec, r) - exact)))
             for r in (2, 4, 8)]
     ok &= errs[0] <= errs[1] <= errs[2]

@@ -14,10 +14,15 @@ from tlc.analysis import (
     ks_distance,
     run_shift_experiment,
     sample_pooled_stats,
-    white_noise_source,
 )
 from tlc.errors import DegenerateScale, NonFiniteValue, PatchTooLarge
 from tlc.tensor import FeatureMap, WindowSpec
+
+
+def white_noise_source(height, width):
+    def gen(rng):
+        return FeatureMap(rng.standard_normal((1, height, width)))
+    return gen
 
 
 def constant_source(value=1.5):
@@ -115,9 +120,9 @@ def test_calibrate_quarter_scale_rect():
     assert calibrate_windows(_graph(0.25), 720, 1280)["l0"] == (180, 320)
 
 
-def test_calibrate_skips_unflagged():
-    g = LayerGraph((Layer("a", 1.0, True), Layer("b", 0.5, False)))
-    assert list(calibrate_windows(g, 64, 64)) == ["a"]
+def test_empty_layer_graph_is_rejected():
+    with pytest.raises(ValueError, match="at least one layer"):
+        LayerGraph(())
 
 
 def test_calibrate_degenerate_scale():

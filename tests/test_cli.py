@@ -587,4 +587,37 @@ def test_convert_runs_one_crop_reference_per_distinct_crop(tmp_path, rng, monkey
     assert len(global_calls) == references
     with open(outdir / "report.csv") as fh:
         rows = list(csv.reader(fh))
-    assert len([row for row in rows if row[0].startswith("crop_check")]) == 3
+    crop_rows = [row[0] for row in rows if row[0].startswith("crop_check")]
+    assert len(crop_rows) == len(set(crop_rows)) == references
+
+
+@pytest.mark.parametrize("command,key", [
+    ("aggregate", "stat"),
+    ("convert", "module"),
+    ("demo", "noise"),
+    ("fuse", "transform"),
+])
+def test_config_value_outside_the_flag_choices_is_a_usage_error(tmp_path, rng, capsys,
+                                                                command, key):
+    inp = save_map(tmp_path, rng.standard_normal((4, 8, 8)))
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = foo\n")
+    argv = [command, "--config", str(cfg), "--input", str(inp)]
+    argv += ["--output" if command == "aggregate" else "--outdir", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: config key {key!r}: expected one of")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name,width", [("reduce", 3), ("expand", 5)])
+def test_se_weights_wider_than_one_are_a_data_error(tmp_path, rng, capsys, name, width):
+    manifest = write_se_manifest(tmp_path, rng)  # C = 4, hidden = 2
+    matrix = (4, 2) if name == "reduce" else (2, 4)
+    write_tensor(FeatureMap(rng.standard_normal(matrix + (width,))), tmp_path / f"{name}.tlct")
+    inp = save_map(tmp_path, rng.standard_normal((4, 8, 8)))
+    outdir = tmp_path / "conv"
+    assert main(["convert", "--module", "se", "--input", str(inp),
+                 "--params", str(manifest), "--outdir", str(outdir), "--k", "3", "3"]) == 3
+    assert capsys.readouterr().err.startswith(f"data error: se.{name} must have width 1")
+    assert not outdir.exists()

@@ -10,12 +10,11 @@ from tlc.fusion import (
     TilePlan,
     apply_and_fuse,
     coverage_counts,
-    patch_inference_baseline,
     plan_tiles,
     seam_metric,
     transposed_attention,
 )
-from tlc.integral import PointwiseMap, local_aggregate
+from tlc.integral import local_aggregate
 from tlc.tensor import FeatureMap, WindowSpec
 
 
@@ -184,6 +183,11 @@ def test_attention_full_window_equals_global(rng):
 # --- patch-inference baseline and seams --------------------------------------
 
 
+def patch_inference_baseline(x: FeatureMap, plan: TilePlan, pipeline) -> FeatureMap:
+    """The crop-and-stitch baseline: a whole-map pipeline on each tile, fused."""
+    return apply_and_fuse(x, plan, lambda win: pipeline(FeatureMap(win)).data)
+
+
 def test_patch_baseline_identity(rng):
     x = FeatureMap(rng.standard_normal((2, 10, 10)))
     plan = plan_tiles(10, 10, (5, 5), (3, 3))
@@ -215,7 +219,7 @@ def test_baseline_seam_vs_local_smoothness():
     plan = plan_tiles(8, w, (8, w // 2), (8, w // 2))
     baseline = patch_inference_baseline(x, plan, _global_mean_broadcast)
     assert seam_metric(baseline, plan) > 0
-    local = local_aggregate(img[0], PointwiseMap.IDENTITY, WindowSpec(8, w // 2))
+    local = local_aggregate(img[0], WindowSpec(8, w // 2))
     local_seam = seam_metric(FeatureMap(local[None]), plan)
     assert local_seam < seam_metric(baseline, plan)
 

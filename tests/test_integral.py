@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from tlc import _parallel
 from tlc.errors import EmptyWindowSample
 from tlc.integral import (
-    PointwiseMap,
     brute_force_local_mean,
     build_integral,
-    global_aggregate,
     local_aggregate,
     local_max,
     local_mean_var,
@@ -25,23 +23,6 @@ from tlc.tensor import WindowSpec
 from conftest import sliding_stats_oracle
 
 X22 = np.array([[1.0, 2.0], [3.0, 4.0]])
-
-
-def test_global_mean():
-    assert global_aggregate(X22, PointwiseMap.IDENTITY) == pytest.approx(2.5)
-
-
-def test_global_square():
-    assert global_aggregate(X22, PointwiseMap.SQUARE) == pytest.approx(7.5)
-
-
-def test_global_against_direct_loop(rng):
-    x = rng.standard_normal((37, 53))
-    acc = 0.0
-    for i in range(37):
-        for j in range(53):
-            acc += x[i, j]
-    assert abs(global_aggregate(x, PointwiseMap.IDENTITY) - acc / (37 * 53)) < 1e-10
 
 
 def test_integral_single_element():
@@ -85,33 +66,34 @@ def test_window_sums_matches_direct(rng):
 
 def test_local_aggregate_covering_window_is_global(rng):
     x = rng.standard_normal((6, 9))
-    out = local_aggregate(x, PointwiseMap.IDENTITY, WindowSpec(100, 100))
-    g = global_aggregate(x, PointwiseMap.IDENTITY)
-    assert np.max(np.abs(out - g)) < 1e-12
+    out = local_aggregate(x, WindowSpec(100, 100))
+    assert np.max(np.abs(out - x.mean())) < 1e-12
 
 
 def test_local_aggregate_constant_field():
     x = np.full((7, 5), 3.0)
-    out = local_aggregate(x, PointwiseMap.SQUARE, WindowSpec(3, 3))
-    assert np.allclose(out, 9.0, atol=1e-12)
+    out = local_aggregate(x, WindowSpec(3, 3))
+    assert np.allclose(out, 3.0, atol=1e-12)
 
 
 def test_local_aggregate_identity_window(rng):
     x = rng.standard_normal((8, 8))
-    assert np.array_equal(local_aggregate(x, PointwiseMap.IDENTITY, WindowSpec(1, 1)), x)
+    out = local_aggregate(x, WindowSpec(1, 1))
+    assert np.array_equal(out, x)
+    assert not np.shares_memory(out, x)
 
 
 def test_local_aggregate_vs_oracle(rng):
     x = rng.standard_normal((16, 16))
-    got = local_aggregate(x, PointwiseMap.IDENTITY, WindowSpec(5, 5))
+    got = local_aggregate(x, WindowSpec(5, 5))
     want = sliding_stats_oracle(x, WindowSpec(5, 5))[0]
     assert np.max(np.abs(got - want)) < 1e-9
 
 
 def test_local_aggregate_even_window_vs_oracle(rng):
     x = rng.standard_normal((11, 13))
-    got = local_aggregate(x, PointwiseMap.SQUARE, WindowSpec(4, 6))
-    mean, _, _ = sliding_stats_oracle(x * x, WindowSpec(4, 6))
+    got = local_aggregate(x, WindowSpec(4, 6))
+    mean, _, _ = sliding_stats_oracle(x, WindowSpec(4, 6))
     assert np.max(np.abs(got - mean)) < 1e-9
 
 
@@ -119,8 +101,8 @@ def test_shift_equivariance_away_from_edges(rng):
     x = rng.standard_normal((20, 20))
     k = 5
     shifted = np.roll(x, (2, 3), axis=(0, 1))
-    a = local_aggregate(x, PointwiseMap.IDENTITY, WindowSpec(k, k))
-    b = local_aggregate(shifted, PointwiseMap.IDENTITY, WindowSpec(k, k))
+    a = local_aggregate(x, WindowSpec(k, k))
+    b = local_aggregate(shifted, WindowSpec(k, k))
     # Compare deep-interior values only (away from replication and wrap).
     assert np.allclose(a[6:12, 6:12], b[8:14, 9:15], atol=1e-12)
 
@@ -214,7 +196,7 @@ def test_blocked_local_max_equals_scipy(monkeypatch, rows_per_block):
 def test_strided_r1_bit_identical(rng):
     x = rng.standard_normal((17, 23))
     w = WindowSpec(5, 6)
-    exact = local_aggregate(x, PointwiseMap.IDENTITY, w)
+    exact = local_aggregate(x, w)
     assert np.array_equal(strided_local_mean(x, w, 1), exact)
 
 
@@ -229,7 +211,7 @@ def test_strided_ramp_error_bound():
     # the error is bounded by the slope times the stride.
     jj = np.arange(64)[None, :].repeat(64, axis=0).astype(float)
     w = WindowSpec(16, 16)
-    exact = local_aggregate(jj, PointwiseMap.IDENTITY, w)
+    exact = local_aggregate(jj, w)
     approx = strided_local_mean(jj, w, 4)
     assert np.max(np.abs(approx - exact)) < 1.0 * 4
 
@@ -238,7 +220,7 @@ def test_strided_error_monotone_in_stride():
     ii = np.arange(64)[:, None].astype(float)
     x = ii + 0.5 * np.arange(64)[None, :]
     w = WindowSpec(16, 16)
-    exact = local_aggregate(x, PointwiseMap.IDENTITY, w)
+    exact = local_aggregate(x, w)
     errs = [np.max(np.abs(strided_local_mean(x, w, r) - exact)) for r in (2, 4, 8)]
     assert errs[0] <= errs[1] <= errs[2]
 
@@ -252,8 +234,8 @@ def test_strided_empty_window_raises():
 def test_brute_force_reference_agrees(rng):
     x = rng.standard_normal((16, 16))
     w = WindowSpec(5, 5)
-    a = brute_force_local_mean(x, PointwiseMap.IDENTITY, w)
-    b = local_aggregate(x, PointwiseMap.IDENTITY, w)
+    a = brute_force_local_mean(x, w)
+    b = local_aggregate(x, w)
     assert np.max(np.abs(a - b)) < 1e-9
 
 
@@ -293,15 +275,13 @@ def _replicate_corner(x, w):
 
 
 BATCHED_KERNELS = {
-    "build_integral": lambda x, w: build_integral(x, PointwiseMap.SQUARE),
+    "build_integral": lambda x, w: build_integral(x),
     "window_sums": lambda x, w: window_sums(x, *_effective(x, w)),
     "replicate_to_full": _replicate_corner,
-    "local_aggregate": lambda x, w: local_aggregate(x, PointwiseMap.IDENTITY, w),
-    "local_aggregate_square": lambda x, w: local_aggregate(x, PointwiseMap.SQUARE, w),
+    "local_aggregate": local_aggregate,
     "local_mean_var": local_mean_var,
     "local_max": local_max,
-    "brute_force_local_mean": lambda x, w: brute_force_local_mean(
-        x, PointwiseMap.SQUARE, w),
+    "brute_force_local_mean": brute_force_local_mean,
 }
 
 
@@ -365,18 +345,16 @@ def _sliding_reference(x, w, reduce):
     return interior[np.ix_(rows, cols)]
 
 
-@pytest.mark.parametrize("f", list(PointwiseMap))
 @BATCH_SETTINGS
 @given(case=single_map_case())
-def test_local_aggregate_matches_sliding_window_mean(f, case):
+def test_local_aggregate_matches_sliding_window_mean(case):
     x, w = case
-    fx = f.apply(x)
     k_h, k_w = _effective(x, w)
-    got = local_aggregate(x, f, w)
-    want = _sliding_reference(fx, w, np.mean)
+    got = local_aggregate(x, w)
+    want = _sliding_reference(x, w, np.mean)
     # Each table entry sums at most H*W terms and carries at most (H+W)
-    # roundings of a value no larger than sum |f(x)|; a window reads four.
-    tol = 4 * sum(x.shape) * np.finfo(np.float64).eps * np.abs(fx).sum() / (k_h * k_w)
+    # roundings of a value no larger than sum |x|; a window reads four.
+    tol = 4 * sum(x.shape) * np.finfo(np.float64).eps * np.abs(x).sum() / (k_h * k_w)
     assert np.max(np.abs(got - want)) <= tol
 
 
@@ -385,14 +363,6 @@ def test_local_aggregate_matches_sliding_window_mean(f, case):
 def test_local_max_matches_sliding_window_max(case):
     x, w = case
     assert np.array_equal(local_max(x, w), _sliding_reference(x, w, np.max))
-
-
-@BATCH_SETTINGS
-@given(case=single_map_case())
-def test_local_aggregate_square_is_identity_of_the_square(case):
-    x, w = case
-    assert np.array_equal(local_aggregate(x, PointwiseMap.SQUARE, w),
-                          local_aggregate(x * x, PointwiseMap.IDENTITY, w))
 
 
 # --- mean and variance on large offsets --------------------------------------

@@ -19,7 +19,6 @@ from tlc import _parallel, modules
 from tlc.cli import main as cli_main
 from tlc.errors import NonFiniteValue, TruncatedPayload
 from tlc.integral import (
-    PointwiseMap,
     build_integral,
     local_aggregate,
     local_max,
@@ -85,8 +84,7 @@ SPLITS = [(1, 3), (2, 3), (7, 3), (6, 4)]
 WINDOWS = [WindowSpec(1, 1), WindowSpec(4, 7), WindowSpec(6, 6), WindowSpec(50, 50)]
 
 KERNELS = {
-    "local_aggregate": lambda x, w: local_aggregate(x, PointwiseMap.IDENTITY, w),
-    "local_aggregate_square": lambda x, w: local_aggregate(x, PointwiseMap.SQUARE, w),
+    "local_aggregate": local_aggregate,
     "local_max": local_max,
     "local_mean_var": local_mean_var,
 }
@@ -104,7 +102,7 @@ def test_split_kernel_equals_serial(monkeypatch, pool, name, c, workers, w):
     serial, split = serial_then_split(monkeypatch, lambda: KERNELS[name](x, w), workers)
     assert_same(serial, split)
     # A 1 x 1 window is a copy, which local_aggregate makes before any split.
-    copy_only = name.startswith("local_aggregate") and w == WindowSpec(1, 1)
+    copy_only = name == "local_aggregate" and w == WindowSpec(1, 1)
     assert (pool.tasks > 0) == (c > 1 and not copy_only)
 
 
@@ -235,7 +233,7 @@ def test_split_above_floor_calls_the_public_kernels(monkeypatch, pool):
         monkeypatch.setattr(tlc.integral, name, counting(getattr(tlc.integral, name), seen))
     x = _map((4, 512, 512))
     assert x.size >= _parallel._MIN_VALUES
-    local_aggregate(x, PointwiseMap.IDENTITY, WindowSpec(96, 96))
+    local_aggregate(x, WindowSpec(96, 96))
     local_max(x, WindowSpec(96, 96))
     assert pool.tasks == 4
     assert {name: len(seen) for name, seen in calls.items()} == {
@@ -262,7 +260,7 @@ def test_in_place_replication_matches_np_pad(shape, k):
     assert np.array_equal(out, want)
     area = float(k_h * k_w)
     if k_h * k_w > 1:
-        assert np.array_equal(local_aggregate(x, PointwiseMap.IDENTITY, WindowSpec(k, k)),
+        assert np.array_equal(local_aggregate(x, WindowSpec(k, k)),
                               np.pad(interior / area, pad, mode="edge"))
 
 
