@@ -279,6 +279,7 @@ BATCHED_KERNELS = {
     "window_sums": lambda x, w: window_sums(x, *_effective(x, w)),
     "replicate_to_full": _replicate_corner,
     "local_aggregate": local_aggregate,
+    "local_aggregate_square": lambda x, w: local_aggregate(x * x, w),
     "local_mean_var": local_mean_var,
     "local_max": local_max,
     "brute_force_local_mean": brute_force_local_mean,

@@ -85,6 +85,8 @@ WINDOWS = [WindowSpec(1, 1), WindowSpec(4, 7), WindowSpec(6, 6), WindowSpec(50, 
 
 KERNELS = {
     "local_aggregate": local_aggregate,
+    # The windowed mean of the square, the second moment of a variance.
+    "local_aggregate_square": lambda x, w: local_aggregate(x * x, w),
     "local_max": local_max,
     "local_mean_var": local_mean_var,
 }
@@ -102,7 +104,7 @@ def test_split_kernel_equals_serial(monkeypatch, pool, name, c, workers, w):
     serial, split = serial_then_split(monkeypatch, lambda: KERNELS[name](x, w), workers)
     assert_same(serial, split)
     # A 1 x 1 window is a copy, which local_aggregate makes before any split.
-    copy_only = name == "local_aggregate" and w == WindowSpec(1, 1)
+    copy_only = name.startswith("local_aggregate") and w == WindowSpec(1, 1)
     assert (pool.tasks > 0) == (c > 1 and not copy_only)
 
 
