@@ -83,11 +83,14 @@ def sample_pooled_stats(
     patch: tuple[int, int] | None = None,
     window: WindowSpec | None = None,
 ) -> SampleSet:
-    """Draw n pooled-mean samples from maps produced by ``source(rng)``.
+    """Draw n pooled-mean samples from ``source``.
 
-    patch given: each sample is the mean of a random patch (TrainPatch).
+    patch given: each sample is the mean of one patch drawn by
+    ``source(rng, patch)``, which draws that patch of a map at a random
+    place and nothing of the map around it (TrainPatch).
     window given: samples are windowed local means at random pixels of
-    full maps, ``_PIXELS_PER_MAP`` per map (TestImageTLC).
+    full maps drawn by ``source(rng)``, ``_PIXELS_PER_MAP`` per map
+    (TestImageTLC).
     Neither: each sample is one full-map mean (TestImage).
     """
     if n < 1:
@@ -96,16 +99,8 @@ def sample_pooled_stats(
         raise ValueError("give at most one of patch and window")
     values = []
     if patch is not None:
-        p_h, p_w = patch
         for _ in range(n):
-            fmap = source(rng)
-            if p_h > fmap.height or p_w > fmap.width:
-                raise PatchTooLarge(
-                    f"patch {patch} exceeds map ({fmap.height}, {fmap.width})"
-                )
-            r = int(rng.integers(0, fmap.height - p_h + 1))
-            c = int(rng.integers(0, fmap.width - p_w + 1))
-            values.append(float(fmap.data[:, r:r + p_h, c:c + p_w].mean()))
+            values.append(float(source(rng, patch).data.mean()))
         return SampleSet(np.array(values), SampleLabel.TRAIN_PATCH)
     if window is not None:
         while len(values) < n:
@@ -179,22 +174,38 @@ def _shift_source(seed: int, channels: int, height: int, width: int):
     tanh, which stand in for the feature extractor in front of a pooling
     layer.
 
-    Each map is drawn and transformed in the one array it is drawn into:
-    fresh map-sized temporaries cost page faults on every map.
+    ``gen(rng)`` draws a full map: the phase, then the noise.
+    ``gen(rng, (p_h, p_w))`` draws one patch and nothing else: the phase,
+    the patch's top-left (row, then column), then noise of the patch's
+    shape, to which it adds ridge rows r .. r + p_h - 1. The noise is
+    i.i.d. and the ridge depends on the row only, so the patch has exactly
+    the law of the crop at (r, c) of a full map, at p_h p_w / (H W) of the
+    draws.
+
+    Each map or patch is drawn and transformed in the one array it is drawn
+    into: fresh map-sized temporaries cost page faults on every map.
     """
     surrogate = np.random.default_rng(seed)
     scale = surrogate.uniform(0.5, 1.5, size=channels)[:, None, None]
     shift = surrogate.uniform(-0.3, 0.3, size=channels)[:, None, None]
     steps = np.arange(height) / height
 
-    def gen(rng: np.random.Generator) -> FeatureMap:
+    def gen(rng: np.random.Generator,
+            patch: tuple[int, int] | None = None) -> FeatureMap:
+        p_h, p_w = (height, width) if patch is None else patch
+        if p_h > height or p_w > width:
+            raise PatchTooLarge(f"patch {patch} exceeds map ({height}, {width})")
         phase = rng.uniform(0.0, 1.0)
-        ridge = 0.8 * np.sin(2.0 * np.pi * (steps + phase))[:, None]
-        x = rng.standard_normal((channels, height, width))
-        # tanh maps +-inf to +-1, so check the drawn map before it.
+        r = 0
+        if patch is not None:
+            r = int(rng.integers(0, height - p_h + 1))
+            # The column places the patch but does not change its values.
+            rng.integers(0, width - p_w + 1)
+        x = rng.standard_normal((channels, p_h, p_w))
+        # tanh maps +-inf to +-1, so check the drawn noise before it.
         if not np.isfinite(x).all():
             raise NonFiniteValue("drawn map contains NaN or Inf")
-        x += ridge
+        x += 0.8 * np.sin(2.0 * np.pi * (steps[r:r + p_h] + phase))[:, None]
         x *= scale
         x += shift
         np.tanh(x, out=x)

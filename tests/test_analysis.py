@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,15 +20,20 @@ from tlc.errors import DegenerateScale, NonFiniteValue, PatchTooLarge
 from tlc.tensor import FeatureMap, WindowSpec
 
 
+# A source draws a full map as ``source(rng)`` and only one patch of it
+# as ``source(rng, patch)``. White noise and a constant have the same law
+# at every place, so these two draw the patch without a top-left.
+
+
 def white_noise_source(height, width):
-    def gen(rng):
-        return FeatureMap(rng.standard_normal((1, height, width)))
+    def gen(rng, patch=None):
+        return FeatureMap(rng.standard_normal((1, *(patch or (height, width)))))
     return gen
 
 
 def constant_source(value=1.5):
-    def gen(rng):
-        return FeatureMap(np.full((1, 32, 32), value))
+    def gen(rng, patch=None):
+        return FeatureMap(np.full((1, *(patch or (32, 32))), value))
     return gen
 
 
@@ -52,11 +58,18 @@ def test_full_size_patch_equals_image_statistic():
     assert ks_distance(a, b) < 0.12
 
 
-def test_patch_too_large():
-    rng = np.random.default_rng(0)
+class _NoDraws:
+    """A generator stand-in that fails on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew {name} before the patch check")
+
+
+@pytest.mark.parametrize("patch", [(16, 16), (9, 8), (8, 9)])
+def test_patch_too_large(patch):
+    source = analysis._shift_source(0, 1, 8, 8)
     with pytest.raises(PatchTooLarge):
-        sample_pooled_stats(white_noise_source(height=8, width=8), 3, rng,
-                            patch=(16, 16))
+        sample_pooled_stats(source, 3, _NoDraws(), patch=patch)
 
 
 def test_white_noise_concentration_clt():
@@ -187,19 +200,28 @@ def test_histogram_uniform_sanity_band():
 
 
 def _reference_shift_experiment(seed, n, channels, map_size, patch):
-    """The experiment with every map built through fresh arrays:
+    """The experiment with every map and patch built through fresh arrays:
     tanh(scale * (noise + ridge) + shift), from the same rng calls in the
     same order (the surrogate's uniforms from their own generator; per
-    map a uniform phase, then the noise; then the sampler's integers)."""
+    full map a uniform phase, then the noise; per patch a uniform phase,
+    the top-left row and column, then the patch's noise; then the
+    sampler's integers)."""
     h, w = map_size
     stack = np.random.default_rng(seed)
     scale = stack.uniform(0.5, 1.5, size=channels)[:, None, None]
     shift = stack.uniform(-0.3, 0.3, size=channels)[:, None, None]
 
-    def source(rng):
+    def source(rng, patch=None):
         phase = rng.uniform(0.0, 1.0)
-        ridge = 0.8 * np.sin(2.0 * np.pi * (np.arange(h) / h + phase))[:, None]
-        noise = rng.standard_normal((channels, h, w))
+        rows = np.arange(h)
+        if patch is None:
+            noise = rng.standard_normal((channels, h, w))
+        else:
+            r = rng.integers(0, h - patch[0] + 1)
+            rng.integers(0, w - patch[1] + 1)
+            rows = rows[r:r + patch[0]]
+            noise = rng.standard_normal((channels, *patch))
+        ridge = 0.8 * np.sin(2.0 * np.pi * (rows / h + phase))[:, None]
         return FeatureMap(np.tanh(scale * (noise + ridge) + shift))
 
     rng = np.random.default_rng(seed)
@@ -242,6 +264,9 @@ class _InfiniteNoise:
     def uniform(self, low, high):
         return 0.25
 
+    def integers(self, low, high):
+        return low
+
     def standard_normal(self, shape):
         x = np.zeros(shape)
         x[0, 0, 0] = np.inf
@@ -249,8 +274,87 @@ class _InfiniteNoise:
         return x
 
 
-def test_shift_source_rejects_a_non_finite_draw_before_tanh():
+@pytest.mark.parametrize("patch", [None, (4, 4)])
+def test_shift_source_rejects_a_non_finite_draw_before_tanh(patch):
     # tanh would turn +-inf into +-1, which the FeatureMap check passes.
     source = analysis._shift_source(3, 2, 8, 8)
     with pytest.raises(NonFiniteValue):
-        source(_InfiniteNoise())
+        source(_InfiniteNoise(), patch)
+
+
+class _FixedDraws:
+    """A generator stand-in with a fixed phase, top-left and noise map.
+
+    A noise draw returns the crop of the noise map at the fixed top-left,
+    of the shape asked for. The bounds of each ``integers`` call are
+    recorded."""
+
+    def __init__(self, phase, top_left, noise):
+        self.phase = phase
+        self.top_left = top_left
+        self.noise = noise
+        self.bounds = []
+
+    def uniform(self, low, high):
+        return self.phase
+
+    def integers(self, low, high):
+        self.bounds.append((low, high))
+        return self.top_left[len(self.bounds) - 1]
+
+    def standard_normal(self, shape):
+        r, c = self.top_left
+        return self.noise[:, r:r + shape[1], c:c + shape[2]].copy()
+
+
+@pytest.mark.parametrize("top_left", [(0, 0), (5, 17), (13, 3), (24, 32)])
+def test_shift_patch_is_the_crop_of_the_full_map(top_left):
+    # Ridge rows, per-channel scale and shift, and tanh must all line up:
+    # the patch equals the same crop of the map from the same draws.
+    channels, (h, w), (p_h, p_w) = 3, (40, 56), (16, 24)
+    noise = np.random.default_rng(8).standard_normal((channels, h, w))
+    source = analysis._shift_source(4, channels, h, w)
+    full = source(_FixedDraws(0.37, (0, 0), noise)).data
+    draws = _FixedDraws(0.37, top_left, noise)
+    got = source(draws, (p_h, p_w)).data
+    r, c = top_left
+    assert draws.bounds == [(0, h - p_h + 1), (0, w - p_w + 1)]
+    assert got.shape == (channels, p_h, p_w)
+    assert np.array_equal(got, full[:, r:r + p_h, c:c + p_w])
+
+
+class _CountingNormals:
+    """A generator that counts the normals it is asked for."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.normals = 0
+
+    def standard_normal(self, shape):
+        self.normals += math.prod(shape)
+        return self._rng.standard_normal(shape)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_train_patches_draw_only_the_patch():
+    n, channels, patch = 25, 2, (48, 48)
+    rng = _CountingNormals(0)
+    sample_pooled_stats(analysis._shift_source(1, channels, 192, 192), n, rng,
+                        patch=patch)
+    assert rng.normals == n * channels * patch[0] * patch[1]
+
+
+def test_drawn_patches_follow_the_law_of_full_map_crops():
+    # Two samples of 1000 from one law exceed a KS distance of
+    # 1.95 * sqrt(2 / 1000) = 0.087 with probability about 0.001.
+    source = analysis._shift_source(5, 2, 64, 64)
+    drawn = sample_pooled_stats(source, 1000, np.random.default_rng(11), patch=(16, 16))
+    rng = np.random.default_rng(12)
+    crops = []
+    for _ in range(1000):
+        x = source(rng).data
+        r, c = rng.integers(0, 64 - 16 + 1, size=2)
+        crops.append(x[:, r:r + 16, c:c + 16].mean())
+    assert ks_distance(drawn, SampleSet(np.array(crops), SampleLabel.TRAIN_PATCH)) < 0.087
