@@ -1,11 +1,18 @@
 """Command-line entry point.
 
 Subcommands: aggregate, convert, stats, calibrate, bench, demo, fuse.
-Exit codes: 0 success, 1 usage error, 2 I/O error, 3 data/shape error,
-4 property-check failure (stats/bench assertions).
+Each command takes only the flags it reads, and ``tlc <command> -h``
+lists them. Exit codes: 0 success, 1 usage error (an unknown or unread
+flag too), 2 I/O error (a CSV or output directory that cannot be written
+too), 3 data/shape error, 4 property-check failure (stats/bench
+assertions).
 
 Every command takes ``--config PATH`` pointing at a flat key=value file
-(# comments allowed); explicit flags win over config values. All
+(# comments allowed). Its keys are exactly the command's flags without
+the dashes, and an unknown or unread key is a usage error. ``k``,
+``stride`` and ``calib`` take two integers split on spaces or commas,
+``brute-force`` takes 0 or 1, and ``layer`` adds one ``--layer`` to
+those of the command line. Explicit flags win over config values. All
 randomness flows from one ``--seed`` through numpy's PCG64 generator, so
 equal seeds give byte-identical outputs.
 """
@@ -63,11 +70,24 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+    try:
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            for row in rows:
+                w.writerow([_fmt(v) for v in row])
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def _outdir(path) -> Path:
+    """The output directory at path, created with its parents."""
+    outdir = Path(path)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create {outdir}: {exc}") from exc
+    return outdir
 
 
 def _load_config(path) -> dict[str, str]:
@@ -85,72 +105,6 @@ def _load_config(path) -> dict[str, str]:
         key, value = line.split("=", 1)
         cfg[key.strip()] = value.strip()
     return cfg
-
-
-def _switch(s: str) -> bool:
-    if s not in ("0", "1"):
-        raise ValueError(f"expected 0 or 1, got {s!r}")
-    return s == "1"
-
-
-def _two_ints(s: str) -> list[int]:
-    values = [int(t) for t in s.replace(",", " ").split()]
-    if len(values) != 2:
-        raise ValueError(f"expected two integers, got {s!r}")
-    return values
-
-
-def _choice(options: tuple[str, ...]):
-    def convert(s: str) -> str:
-        if s not in options:
-            raise ValueError(f"expected one of {', '.join(options)}, got {s!r}")
-        return s
-    return convert
-
-
-# The values of each choice flag, for both the parser and config files.
-_STATS = ("mean", "var", "max", "strided-mean")
-_MODULES = ("se", "in", "gn", "ge", "cbam")
-_NOISES = ("none", "uniform", "two-region")
-_TRANSFORMS = ("identity", "attention", "mean-broadcast")
-
-_CONVERTERS = {
-    "stat": _choice(_STATS),
-    "module": _choice(_MODULES),
-    "noise": _choice(_NOISES),
-    "transform": _choice(_TRANSFORMS),
-    "k": _two_ints,
-    "stride": _two_ints,
-    "seed": int,
-    "n": int,
-    "r": int,
-    "bins": int,
-    "reps": int,
-    "groups": int,
-    "temperature": float,
-    "calib": _two_ints,
-    "brute_force": _switch,
-}
-
-
-def _apply_config(args: argparse.Namespace, defaults: dict):
-    """Fill unset flags from the config file, then from hard defaults."""
-    cfg = _load_config(args.config) if getattr(args, "config", None) else {}
-    for key, raw in cfg.items():
-        dest = key.replace(".", "_").replace("-", "_")
-        if not hasattr(args, dest):
-            raise UsageError(f"unknown config key {key!r}")
-        if getattr(args, dest) is None:
-            conv = _CONVERTERS.get(dest, str)
-            try:
-                setattr(args, dest, conv(raw))
-            except ValueError as exc:
-                raise UsageError(f"config key {key!r}: {exc}") from exc
-    for dest, value in defaults.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
-    if args.seed is not None and args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
 
 
 def _window(args) -> WindowSpec:
@@ -202,8 +156,6 @@ def load_norm_params(manifest: dict, base: Path, kind: str) -> modules.NormParam
 
 
 def cmd_aggregate(args) -> int:
-    _apply_config(args, {"k": [384, 384], "stat": "mean", "r": 1,
-                         "brute_force": False})
     if not args.input or not args.output:
         raise UsageError("aggregate needs --input and --output")
     if args.brute_force and args.stat not in ("mean", "var"):
@@ -269,7 +221,6 @@ def _global_steps(kind: str, x: FeatureMap, params):
 
 
 def cmd_convert(args) -> int:
-    _apply_config(args, {"k": [384, 384]})
     if not args.input or not args.outdir or not args.module:
         raise UsageError("convert needs --input, --outdir and --module")
     kind = args.module
@@ -294,8 +245,7 @@ def cmd_convert(args) -> int:
     steps = _global_steps(kind, x, params)
     out_local = _module_forward(kind, x, params, window)
 
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(args.outdir)
     shape = x.data.shape
     _write_rows(outdir / "global.tlct", shape, _global_rows(x.data, *steps))
     write_tensor(out_local, outdir / "local.tlct")
@@ -376,7 +326,6 @@ def _crop_law_spot_checks(kind, x: FeatureMap, params, window: WindowSpec,
 
 
 def cmd_stats(args) -> int:
-    _apply_config(args, {"seed": 42, "n": 500, "bins": 20})
     if not args.outdir:
         raise UsageError("stats needs --outdir")
     try:
@@ -385,8 +334,7 @@ def cmd_stats(args) -> int:
         hists = [analysis.histogram(s, args.bins) for s in sets]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(args.outdir)
     samples = []
     for s, hist in zip(sets, hists):
         samples.extend((s.label.value, float(v)) for v in s.values)
@@ -409,7 +357,6 @@ def cmd_stats(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    _apply_config(args, {"calib": [384, 384]})
     if not args.layer:
         raise UsageError("calibrate needs at least one --layer name=scale")
     layers = []
@@ -436,7 +383,6 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    _apply_config(args, {"seed": 0, "reps": 5})
     if not args.output:
         raise UsageError("bench needs --output")
     if args.reps < 1:
@@ -481,11 +427,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    _apply_config(args, {"seed": 42, "k": [32, 32], "noise": "two-region"})
     if not args.outdir:
         raise UsageError("demo needs --outdir")
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(args.outdir)
     window = _window(args)
     result = demo.run_demo(args.seed, window=window, noise=args.noise)
     write_tensor(result.clean, outdir / "clean.tlct")
@@ -505,8 +449,6 @@ def cmd_demo(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    _apply_config(args, {"k": [384, 384], "transform": "identity",
-                         "temperature": 1.0})
     if not args.input or not args.outdir:
         raise UsageError("fuse needs --input and --outdir")
     x = read_tensor(args.input)
@@ -528,8 +470,7 @@ def cmd_fuse(args) -> int:
             win.mean(axis=(1, 2), keepdims=True), win.shape
         )
     fused = fusion.apply_and_fuse(x, plan, op)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(args.outdir)
     write_tensor(fused, outdir / "fused.tlct")
     _write_csv(
         outdir / "seam.csv",
@@ -549,53 +490,62 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="tlc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", default=None)
-        p.add_argument("--k", type=int, nargs=2, metavar=("H", "W"), default=None)
-        p.add_argument("--stride", type=int, nargs=2, metavar=("H", "W"), default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--input", default=None)
-        p.add_argument("--output", default=None)
+    def command(name, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="key=value file of this command's flags")
+        return p
 
-    p = sub.add_parser("aggregate", help="windowed mean/var/max of a tensor")
-    common(p)
-    p.add_argument("--stat", choices=_STATS, default=None)
-    p.add_argument("--r", type=int, default=None, help="stride for strided-mean")
-    p.add_argument("--brute-force", action="store_true", default=None,
+    def pair(p, flag, default):
+        p.add_argument(flag, type=int, nargs=2, metavar=("H", "W"), default=default)
+
+    p = command("aggregate", "windowed mean/var/max of a tensor")
+    p.add_argument("--input")
+    p.add_argument("--output")
+    pair(p, "--k", [384, 384])
+    p.add_argument("--stat", choices=("mean", "var", "max", "strided-mean"),
+                   default="mean")
+    p.add_argument("--r", type=int, default=1, help="stride for strided-mean")
+    p.add_argument("--brute-force", action="store_true",
                    help="use the O(K^2)-per-pixel reference path (--stat mean, var)")
 
-    p = sub.add_parser("convert", help="run a module in global and local mode")
-    common(p)
-    p.add_argument("--module", choices=_MODULES, default=None)
-    p.add_argument("--params", default=None, help="key=value params manifest")
-    p.add_argument("--outdir", default=None)
+    p = command("convert", "run a module in global and local mode")
+    p.add_argument("--input")
+    p.add_argument("--outdir")
+    pair(p, "--k", [384, 384])
+    p.add_argument("--module", choices=("se", "in", "gn", "ge", "cbam"))
+    p.add_argument("--params", help="key=value params manifest")
 
-    p = sub.add_parser("stats", help="pooled-statistic distribution shift")
-    common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--bins", type=int, default=None)
-    p.add_argument("--outdir", default=None)
+    p = command("stats", "pooled-statistic distribution shift")
+    p.add_argument("--outdir")
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--n", type=int, default=500)
+    p.add_argument("--bins", type=int, default=20)
 
-    p = sub.add_parser("calibrate", help="per-layer window sizes")
-    common(p)
-    p.add_argument("--calib", type=int, nargs=2, metavar=("H", "W"), default=None)
-    p.add_argument("--layer", action="append", default=None,
-                   metavar="NAME=SCALE")
+    p = command("calibrate", "per-layer window sizes")
+    p.add_argument("--output")
+    pair(p, "--calib", [384, 384])
+    p.add_argument("--layer", action="append", metavar="NAME=SCALE")
 
-    p = sub.add_parser("bench", help="integral vs brute-force timing ratios")
-    common(p)
-    p.add_argument("--reps", type=int, default=None)
+    p = command("bench", "integral vs brute-force timing ratios")
+    p.add_argument("--output")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--reps", type=int, default=5)
 
-    p = sub.add_parser("demo", help="global vs local Wiener restoration")
-    common(p)
-    p.add_argument("--noise", choices=_NOISES, default=None)
-    p.add_argument("--outdir", default=None)
+    p = command("demo", "global vs local Wiener restoration")
+    p.add_argument("--outdir")
+    p.add_argument("--seed", type=int, default=42)
+    pair(p, "--k", [32, 32])
+    p.add_argument("--noise", choices=("none", "uniform", "two-region"),
+                   default="two-region")
 
-    p = sub.add_parser("fuse", help="overlap-tile transform and fusion")
-    common(p)
-    p.add_argument("--transform", choices=_TRANSFORMS, default=None)
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--outdir", default=None)
+    p = command("fuse", "overlap-tile transform and fusion")
+    p.add_argument("--input")
+    p.add_argument("--outdir")
+    pair(p, "--k", [384, 384])
+    pair(p, "--stride", None)
+    p.add_argument("--transform", choices=("identity", "attention", "mean-broadcast"),
+                   default="identity")
+    p.add_argument("--temperature", type=float, default=1.0)
     return parser
 
 
@@ -605,9 +555,45 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+def _config_tokens(key: str, value: str) -> list[str]:
+    """The command-line tokens of one config entry."""
+    if key == "config":
+        raise UsageError("config key 'config': a config file cannot name another")
+    if key in ("k", "stride", "calib"):  # two integers, commas allowed
+        return [f"--{key}"] + value.replace(",", " ").split()
+    if key == "brute-force":
+        if value not in ("0", "1"):
+            raise UsageError(f"config key {key!r}: expected 0 or 1, got {value!r}")
+        return ["--brute-force"] * (value == "1")
+    return [f"--{key}={value}"]
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with the entries of its --config file as flags placed
+    before its own, so that explicit flags win."""
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        config = []
+        for key, value in _load_config(args.config).items():
+            # The exact flag name: argparse would also take a prefix of one.
+            if not hasattr(args, key.replace("-", "_")):
+                raise UsageError(f"unknown config key {key!r}")
+            tokens = _config_tokens(key, value)
+            try:  # alone first, so that an error names its key
+                parser.parse_args([args.command] + tokens)
+            except UsageError as exc:
+                raise UsageError(f"config key {key!r}: {exc}") from exc
+            config += tokens
+        args = parser.parse_args([args.command] + config + argv[1:])
+    if getattr(args, "seed", 0) < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         # Looked up at each call, not held by the parser, so that a
         # cmd_* function rebound on this module after import runs.
         return globals()[f"cmd_{args.command}"](args)

@@ -603,10 +603,13 @@ def test_config_value_outside_the_flag_choices_is_a_usage_error(tmp_path, rng, c
     out = tmp_path / "out"
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = foo\n")
-    argv = [command, "--config", str(cfg), "--input", str(inp)]
+    argv = [command, "--config", str(cfg)]
+    if command != "demo":
+        argv += ["--input", str(inp)]
     argv += ["--output" if command == "aggregate" else "--outdir", str(out)]
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith(f"error: config key {key!r}: expected one of")
+    assert capsys.readouterr().err.startswith(
+        f"error: config key {key!r}: argument --{key}: invalid choice")
     assert not out.exists()
 
 
@@ -621,3 +624,145 @@ def test_se_weights_wider_than_one_are_a_data_error(tmp_path, rng, capsys, name,
                  "--params", str(manifest), "--outdir", str(outdir), "--k", "3", "3"]) == 3
     assert capsys.readouterr().err.startswith(f"data error: se.{name} must have width 1")
     assert not outdir.exists()
+
+
+def _parsed(monkeypatch, command, argv):
+    """The namespace main hands to cmd_<command>, without --config."""
+    seen = []
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(vars(args)) or 0)
+    assert main([command] + argv) == 0
+    del seen[0]["config"]
+    return seen[0]
+
+
+# One case per flag of each command, as it is given on the command line
+# and as a config entry.
+FLAG_AND_CONFIG = [
+    ("aggregate", ["--input", "in dir/x.tlct"], "input = in dir/x.tlct"),
+    ("aggregate", ["--output", "out dir/o.tlct"], "output = out dir/o.tlct"),
+    ("aggregate", ["--k", "5", "5"], "k = 5,5"),
+    ("aggregate", ["--stat", "var"], "stat = var"),
+    ("aggregate", ["--r", "2"], "r = 2"),
+    ("aggregate", ["--brute-force"], "brute-force = 1"),
+    ("aggregate", [], "brute-force = 0"),
+    ("convert", ["--input", "x.tlct"], "input = x.tlct"),
+    ("convert", ["--outdir", "out dir"], "outdir = out dir"),
+    ("convert", ["--k", "4", "7"], "k = 4 7"),
+    ("convert", ["--module", "gn"], "module = gn"),
+    ("convert", ["--params", "p q.params"], "params = p q.params"),
+    ("stats", ["--outdir", "o"], "outdir = o"),
+    ("stats", ["--seed", "7"], "seed = 7"),
+    ("stats", ["--n", "64"], "n = 64"),
+    ("stats", ["--bins", "5"], "bins = 5"),
+    ("calibrate", ["--output", "c.csv"], "output = c.csv"),
+    ("calibrate", ["--calib", "64", "32"], "calib = 64, 32"),
+    ("calibrate", ["--layer", "a=1"], "layer = a=1"),
+    ("bench", ["--output", "b.csv"], "output = b.csv"),
+    ("bench", ["--seed", "3"], "seed = 3"),
+    ("bench", ["--reps", "2"], "reps = 2"),
+    ("demo", ["--outdir", "d"], "outdir = d"),
+    ("demo", ["--seed", "0"], "seed = 0"),
+    ("demo", ["--k", "96", "96"], "k = 96 96"),
+    ("demo", ["--noise", "none"], "noise = none"),
+    ("fuse", ["--input", "x.tlct"], "input = x.tlct"),
+    ("fuse", ["--outdir", "f"], "outdir = f"),
+    ("fuse", ["--k", "1", "1"], "k = 1,1"),
+    ("fuse", ["--stride", "2", "3"], "stride = 2 3"),
+    ("fuse", ["--transform", "attention"], "transform = attention"),
+    ("fuse", ["--temperature", "0.5"], "temperature = 0.5"),
+]
+
+
+@pytest.mark.parametrize("command,flags,entry", FLAG_AND_CONFIG,
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_config_entry_parses_as_its_flag(tmp_path, monkeypatch, command, flags, entry):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(entry + "\n")
+    from_config = _parsed(monkeypatch, command, ["--config", str(cfg)])
+    assert from_config == _parsed(monkeypatch, command, flags)
+    if flags:  # the entry is read, not left at the default
+        assert from_config != _parsed(monkeypatch, command, [])
+
+
+def test_every_flag_has_a_config_case():
+    parser = cli.build_parser()
+    for command in ("aggregate", "convert", "stats", "calibrate", "bench", "demo", "fuse"):
+        dests = set(vars(parser.parse_args([command]))) - {"command", "config"}
+        covered = {flags[0][2:].replace("-", "_")
+                   for cmd, flags, _ in FLAG_AND_CONFIG if cmd == command and flags}
+        assert covered == dests, command
+
+
+def test_config_layer_comes_before_the_command_line_layers(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("layer = enc1=1\n")
+    assert main(["calibrate", "--config", str(cfg), "--layer", "dec1=0.5"]) == 0
+    assert capsys.readouterr().out == "enc1,384,384\ndec1,192,192\n"
+
+
+@pytest.mark.parametrize("command,flags,entry", [
+    ("stats", ["--k", "5", "5"], "k = 5 5"),
+    ("demo", ["--input", "x"], "input = x"),
+    ("calibrate", ["--seed", "1"], "seed = 1"),
+    ("convert", ["--output", "o"], "output = o"),
+    ("fuse", ["--seed", "1"], "seed = 1"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_flag_a_command_does_not_read_is_a_usage_error(tmp_path, rng, capsys, command,
+                                                        flags, entry, source):
+    inp = save_map(tmp_path, rng.standard_normal((2, 8, 8)))
+    out = str(tmp_path / "out")
+    argv = {
+        "stats": ["--n", "16", "--outdir", out],
+        "demo": ["--outdir", out],
+        "calibrate": ["--layer", "a=1", "--output", out],
+        "convert": ["--module", "ge", "--input", str(inp), "--outdir", out, "--k", "3", "3"],
+        "fuse": ["--input", str(inp), "--outdir", out, "--k", "4", "4"],
+    }[command]
+    if source == "flag":
+        argv += flags
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(entry + "\n")
+        argv += ["--config", str(cfg)]
+    before = sorted(tmp_path.iterdir())
+    assert main([command] + argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_config_naming_another_config_is_a_usage_error(tmp_path, capsys):
+    other = tmp_path / "other.cfg"
+    other.write_text("layer = b=2\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"config = {other}\n")
+    out = tmp_path / "cal.csv"
+    assert main(["calibrate", "--layer", "a=1", "--output", str(out),
+                 "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: config key 'config'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["aggregate", "convert", "stats", "calibrate",
+                                     "bench", "demo", "fuse"])
+def test_unwritable_csv_or_outdir_is_an_io_error(tmp_path, rng, capsys, monkeypatch,
+                                                 command):
+    inp = save_map(tmp_path, rng.standard_normal((4, 8, 8)))
+    (tmp_path / "file").write_text("")
+    bad = str(tmp_path / "file" / "sub")  # a directory below a regular file
+    (tmp_path / "o.csv").mkdir()  # where aggregate writes its summary
+    argv = {
+        "aggregate": ["--input", str(inp), "--output", str(tmp_path / "o.tlct"),
+                      "--k", "3", "3"],
+        "convert": ["--module", "ge", "--input", str(inp), "--outdir", bad, "--k", "3", "3"],
+        "stats": ["--n", "16", "--outdir", bad],
+        "calibrate": ["--layer", "a=1", "--output", bad + "/c.csv"],
+        "bench": ["--reps", "1", "--output", bad + "/b.csv"],
+        "demo": ["--k", "4", "4", "--outdir", bad],
+        "fuse": ["--input", str(inp), "--k", "4", "4", "--outdir", bad],
+    }[command]
+    # Only the CSV is under test: bench's timed kernels need not run.
+    monkeypatch.setattr(cli, "local_aggregate", lambda x, w: x)
+    monkeypatch.setattr(cli, "brute_force_local_mean", lambda x, w: x)
+    assert main([command] + argv) == 2
+    assert capsys.readouterr().err.startswith("io error: ")
