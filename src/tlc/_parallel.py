@@ -1,7 +1,8 @@
 """Leading-axis blocked map for the windowed kernels, the module bodies
 and the FeatureMap check, the block size that TLCT I/O buffers share,
-and the round size in which ``convert`` computes the global output it
-streams to disk.
+the round size in which ``convert`` computes the global output it
+streams to disk, and an ordered map over independent tasks (the shift
+experiment's full maps).
 
 An array of shape (N, ..., H, W) of at least 2**20 values is cut along
 axis 0 into contiguous blocks of whole rows of a few megabytes each,
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -46,6 +48,9 @@ _MIN_VALUES = 1 << 20
 # cuts a map at the size floor (4x512x512) into one block per core, as
 # the kernel call counts in tests/test_parallel.py expect.
 _BLOCK_VALUES = 1 << 19
+# Tasks ordered_map keeps submitted per worker: one running and one
+# queued, so that a worker never idles while the caller collects.
+_IN_FLIGHT = 2
 
 _pool = None
 _pool_lock = threading.Lock()
@@ -130,3 +135,37 @@ def leading_map(fn, *arrays, out=None):
     for f in futures:
         f.result()  # re-raises a block's exception
     return out
+
+
+def ordered_map(fn, items) -> list:
+    """Return [fn(item) for item in items], computed on the pool.
+
+    ``items`` is consumed lazily on the caller's thread, and at most
+    _IN_FLIGHT tasks per worker are submitted and not yet collected, so
+    only a few items and results are alive at once however many there
+    are. Results come back in the order of ``items``. If a task raises,
+    the tasks not yet started are cancelled, the running ones are waited
+    for, and the first exception in item order is raised: nothing of
+    the call is still running when it returns or raises.
+
+    Everything runs on the caller's thread, one item after another, when
+    the process may use one core only, or when the caller is itself a
+    pool worker: a worker never waits on its own pool.
+    """
+    if _WORKERS < 2 or getattr(_thread, "is_worker", False):
+        return [fn(item) for item in items]
+    pool = _executor()
+    pending = deque()
+    results = []
+    try:
+        for item in items:
+            if len(pending) == _IN_FLIGHT * _WORKERS:
+                results.append(pending.popleft().result())
+            pending.append(pool.submit(fn, item))
+        while pending:
+            results.append(pending.popleft().result())
+    finally:
+        # A cancelled future counts as done for wait() only once a worker
+        # has dequeued it, so wait on the ones that could not be cancelled.
+        wait([f for f in pending if not f.cancel()])
+    return results

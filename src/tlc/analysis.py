@@ -21,6 +21,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._parallel import ordered_map
 from .errors import DegenerateScale, NonFiniteValue, PatchTooLarge
 from .integral import local_aggregate
 from .tensor import FeatureMap, WindowSpec
@@ -91,7 +92,12 @@ def sample_pooled_stats(
     window given: samples are windowed local means at random pixels of
     full maps drawn by ``source(rng)``, ``_PIXELS_PER_MAP`` per map
     (TestImageTLC).
-    Neither: each sample is one full-map mean (TestImage).
+    Neither: each sample is one full-map mean (TestImage). Map i is
+    drawn by ``source(children[i])`` with ``children = rng.spawn(n)``,
+    so the maps are independent of one another and are drawn on every
+    core; the values do not depend on the core count, and rng's own
+    stream is not advanced. ``source`` must then be safe to call from
+    several threads at once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -113,8 +119,10 @@ def sample_pooled_stats(
             cols = rng.integers(0, pooled.shape[1], size=take)
             values.extend(pooled[rows, cols].tolist())
         return SampleSet(np.array(values), SampleLabel.TEST_IMAGE_TLC)
-    for _ in range(n):
-        values.append(float(source(rng).data.mean()))
+    # Spawned one at a time as ordered_map takes them, which gives the
+    # children of one rng.spawn(n) without holding n generators.
+    children = (rng.spawn(1)[0] for _ in range(n))
+    values = ordered_map(lambda child: float(source(child).data.mean()), children)
     return SampleSet(np.array(values), SampleLabel.TEST_IMAGE)
 
 
@@ -238,7 +246,9 @@ def run_shift_experiment(
 
     Training-style patch means are compared against full-image means and
     against windowed local means with the window set to the patch size.
-    All randomness flows from the one seed through PCG64.
+    All randomness flows from the one seed through PCG64: the training
+    patches and the TestImageTLC maps from its stream, each TestImage map
+    from a child stream spawned from it.
     """
     source = _shift_source(seed, channels, *map_size)
     rng = np.random.default_rng(seed)

@@ -14,7 +14,10 @@ the dashes, and an unknown or unread key is a usage error. ``k``,
 ``brute-force`` takes 0 or 1, and ``layer`` adds one ``--layer`` to
 those of the command line. Explicit flags win over config values. All
 randomness flows from one ``--seed`` through numpy's PCG64 generator, so
-equal seeds give byte-identical outputs.
+equal seeds give byte-identical outputs. ``stats`` draws each of its
+full TestImage maps from its own stream, spawned from the seeded one,
+so that the maps are drawn on every core; its outputs do not depend on
+the core count.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import analysis, demo, fusion, modules
 from ._parallel import leading_map, round_rows
-from .errors import DataError, IoFailure, TlcError
+from .errors import DataError, EmptyWindowSample, IoFailure, TlcError
 from .integral import (
     brute_force_local_mean,
     local_aggregate,
@@ -180,9 +183,11 @@ def cmd_aggregate(args) -> int:
     elif args.stat == "max":
         stat = local_max(data, window)
     else:  # strided-mean
+        # --r 0 and an --r that leaves a window without samples are
+        # both a bad choice of flags, not bad data.
         try:
             stat = strided_local_mean(data, window, args.r)
-        except ValueError as exc:
+        except (ValueError, EmptyWindowSample) as exc:
             raise UsageError(str(exc)) from exc
     out = FeatureMap(stat)
     write_tensor(out, args.output)

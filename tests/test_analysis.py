@@ -1,10 +1,12 @@
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from tlc import analysis
+from tlc import _parallel, analysis
 from tlc.analysis import (
     Layer,
     LayerGraph,
@@ -16,6 +18,7 @@ from tlc.analysis import (
     run_shift_experiment,
     sample_pooled_stats,
 )
+from tlc.cli import main
 from tlc.errors import DegenerateScale, NonFiniteValue, PatchTooLarge
 from tlc.tensor import FeatureMap, WindowSpec
 
@@ -358,3 +361,130 @@ def test_drawn_patches_follow_the_law_of_full_map_crops():
         r, c = rng.integers(0, 64 - 16 + 1, size=2)
         crops.append(x[:, r:r + 16, c:c + 16].mean())
     assert ks_distance(drawn, SampleSet(np.array(crops), SampleLabel.TRAIN_PATCH)) < 0.087
+
+
+# --- TestImage maps on the pool ----------------------------------------------
+#
+# Each full TestImage map is drawn from its own child of rng.spawn(n), so
+# the maps run on the pool in any order and on any number of cores and
+# still give the same values.
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    monkeypatch.setattr(_parallel, "_WORKERS", 2)
+
+
+def _experiment():
+    report = run_shift_experiment(3, n=65, channels=2, map_size=(40, 56), patch=(16, 24))
+    return [s.values for s in (report.train, report.test, report.test_tlc)]
+
+
+def test_shift_experiment_does_not_depend_on_the_worker_count(monkeypatch):
+    monkeypatch.setattr(_parallel, "_WORKERS", 1)
+    serial = _experiment()
+    monkeypatch.setattr(_parallel, "_WORKERS", 2)
+    monkeypatch.setattr(_parallel, "_pool", None)
+    pool = _parallel._executor()
+    try:
+        pooled = _experiment()
+        # One experiment on each worker of a fresh two-thread pool: were a
+        # worker to queue its maps on the pool and wait, no thread would be
+        # free to draw them.
+        futures = [pool.submit(_experiment) for _ in range(2)]
+        nested = [f.result(timeout=60) for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+    for got in (pooled, *nested):
+        assert all(np.array_equal(a, b) for a, b in zip(serial, got))
+
+
+def test_test_image_values_are_means_over_spawned_children(two_workers):
+    n = 37
+    source = analysis._shift_source(6, 2, 24, 32)
+    rng = np.random.default_rng(5)
+    got = sample_pooled_stats(source, n, rng)
+    want = [float(source(child).data.mean())
+            for child in np.random.default_rng(5).spawn(n)]
+    assert got.label is SampleLabel.TEST_IMAGE
+    assert got.values.tolist() == want
+    # Spawning does not advance rng's own stream.
+    assert rng.random() == np.random.default_rng(5).random()
+
+
+class _Running:
+    """Counts the map draws started and those not yet finished."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.started = 0
+        self.now = 0
+
+
+def _poison_one_map(source, bad, running):
+    """source, except that full map number ``bad`` is drawn with Inf noise,
+    and every full map takes a few milliseconds, so that others are in
+    flight when it fails."""
+
+    def gen(rng, patch=None):
+        if patch is not None:
+            return source(rng, patch)
+        with running.lock:
+            running.started += 1
+            running.now += 1
+        try:
+            time.sleep(0.003)
+            if rng.bit_generator.seed_seq.spawn_key == (bad,):
+                return source(_InfiniteNoise(), patch)
+            return source(rng, patch)
+        finally:
+            with running.lock:
+                running.now -= 1
+
+    return gen
+
+
+def _assert_nothing_runs_after_the_return(running, n):
+    started = running.started
+    assert running.now == 0
+    time.sleep(0.05)
+    assert running.started == started < n
+
+
+def test_non_finite_map_surfaces_and_stops_the_other_maps(two_workers):
+    running = _Running()
+    source = _poison_one_map(analysis._shift_source(2, 2, 16, 16), 5, running)
+    with pytest.raises(NonFiniteValue):
+        sample_pooled_stats(source, 40, np.random.default_rng(0))
+    _assert_nothing_runs_after_the_return(running, 40)
+
+
+def test_stats_with_a_non_finite_map_exits_3(two_workers, monkeypatch, tmp_path, capsys):
+    running = _Running()
+    shift_source = analysis._shift_source
+    monkeypatch.setattr(analysis, "_shift_source",
+                        lambda *args: _poison_one_map(shift_source(*args), 7, running))
+    outdir = tmp_path / "stats"
+    assert main(["stats", "--n", "40", "--outdir", str(outdir)]) == 3
+    assert "NaN or Inf" in capsys.readouterr().err
+    _assert_nothing_runs_after_the_return(running, 40)
+    assert not outdir.exists()
+
+
+def test_maps_in_flight_are_bounded(two_workers):
+    def source(rng, patch=None):
+        return FeatureMap(rng.standard_normal((1, 8, 8)))
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            sample_pooled_stats(source, n, np.random.default_rng(0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(50)  # starts the pool's threads
+    # Only the returned samples may grow with n: a float in a list and in
+    # an array is 40 bytes. Every map, child generator and future held at
+    # once for the whole run would add about 1.6 KB per map.
+    assert peak(2000) <= peak(200) + 1800 * 64

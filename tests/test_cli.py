@@ -343,14 +343,17 @@ def test_fuse_bad_value_is_a_usage_error(tmp_path, rng, capsys, flags):
     assert not outdir.exists()
 
 
-@pytest.mark.parametrize("r", ["0", "-2"])
-def test_strided_mean_bad_stride_is_a_usage_error(tmp_path, rng, capsys, r):
+@pytest.mark.parametrize("k,r", [("3", "0"), ("3", "-2"), ("1", "2")],
+                         ids=["0", "-2", "k1-r2"])
+def test_strided_mean_bad_stride_is_a_usage_error(tmp_path, rng, capsys, k, r):
+    # A stride larger than the window leaves windows without a sample.
     inp = save_map(tmp_path, rng.standard_normal((1, 8, 8)))
     out = tmp_path / "o.tlct"
     assert main(["aggregate", "--input", str(inp), "--output", str(out),
-                 "--stat", "strided-mean", "--k", "3", "3", "--r", r]) == 1
+                 "--stat", "strided-mean", "--k", k, k, "--r", r]) == 1
     assert "stride" in capsys.readouterr().err
     assert not out.exists()
+    assert not out.with_suffix(".csv").exists()
 
 
 def _sliding_two_pass_var(x, k):
