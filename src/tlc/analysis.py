@@ -94,10 +94,11 @@ def sample_pooled_stats(
     (TestImageTLC).
     Neither: each sample is one full-map mean (TestImage). Map i is
     drawn by ``source(children[i])`` with ``children = rng.spawn(n)``,
-    so the maps are independent of one another and are drawn on every
-    core; the values do not depend on the core count, and rng's own
-    stream is not advanced. ``source`` must then be safe to call from
-    several threads at once.
+    so the maps are independent of one another and are drawn on the
+    pool, at most two at a time; the values do not depend on the core
+    count, and rng's own stream is not advanced. rng must then be
+    backed by a SeedSequence (as default_rng's is), and ``source`` must
+    be safe to call from several threads at once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

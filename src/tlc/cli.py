@@ -16,8 +16,8 @@ those of the command line. Explicit flags win over config values. All
 randomness flows from one ``--seed`` through numpy's PCG64 generator, so
 equal seeds give byte-identical outputs. ``stats`` draws each of its
 full TestImage maps from its own stream, spawned from the seeded one,
-so that the maps are drawn on every core; its outputs do not depend on
-the core count.
+so that two maps are drawn at once on the thread pool; its outputs do
+not depend on the core count.
 """
 
 from __future__ import annotations

@@ -412,13 +412,42 @@ def test_test_image_values_are_means_over_spawned_children(two_workers):
     assert rng.random() == np.random.default_rng(5).random()
 
 
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """Sets the worker count, then makes a pool of that many threads."""
+
+    def make(workers):
+        monkeypatch.setattr(_parallel, "_WORKERS", workers)
+        monkeypatch.setattr(_parallel, "_pool", None)
+        return _parallel._executor()
+
+    yield make
+    if _parallel._pool is not None:
+        _parallel._pool.shutdown()
+
+
+@pytest.mark.parametrize("workers", [4, 8])
+def test_shift_experiment_peak_memory_does_not_grow_with_workers(fresh_pool, workers):
+    # One TestImage map in work per worker would peak at 2.46 MB on 4.
+    fresh_pool(workers)
+    tracemalloc.start()
+    try:
+        run_shift_experiment(1, n=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8e6
+
+
 class _Running:
-    """Counts the map draws started and those not yet finished."""
+    """Counts the map draws started, those not yet finished and the most
+    unfinished at once."""
 
     def __init__(self):
         self.lock = threading.Lock()
         self.started = 0
         self.now = 0
+        self.most = 0
 
 
 def _poison_one_map(source, bad, running):
@@ -432,6 +461,7 @@ def _poison_one_map(source, bad, running):
         with running.lock:
             running.started += 1
             running.now += 1
+            running.most = max(running.most, running.now)
         try:
             time.sleep(0.003)
             if rng.bit_generator.seed_seq.spawn_key == (bad,):
@@ -457,6 +487,19 @@ def test_non_finite_map_surfaces_and_stops_the_other_maps(two_workers):
     with pytest.raises(NonFiniteValue):
         sample_pooled_stats(source, 40, np.random.default_rng(0))
     _assert_nothing_runs_after_the_return(running, 40)
+
+
+@pytest.mark.parametrize("workers", [2, 4, 8])
+def test_maps_at_once_do_not_grow_with_workers(fresh_pool, workers):
+    fresh_pool(workers)
+    running = _Running()
+    source = _poison_one_map(analysis._shift_source(4, 2, 16, 16), -1, running)
+    got = sample_pooled_stats(source, 24, np.random.default_rng(8))
+    want = sample_pooled_stats(analysis._shift_source(4, 2, 16, 16), 24,
+                               np.random.default_rng(8))
+    assert got.values.tolist() == want.values.tolist()
+    assert running.started == 24
+    assert running.most == min(_parallel._AT_ONCE, workers)
 
 
 def test_stats_with_a_non_finite_map_exits_3(two_workers, monkeypatch, tmp_path, capsys):
