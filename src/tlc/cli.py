@@ -246,27 +246,41 @@ def cmd_convert(args) -> int:
 
     # The global output is never a full map: it is computed a block at a
     # time from the coefficients while global.tlct and absdiff.tlct are
-    # written.
+    # written. A window that covers the map makes the local output the
+    # global one (see tlc.modules), so local.tlct is then written from
+    # the same blocks, |global - local| is zero, and the module runs once.
     steps = _global_steps(kind, x, params)
-    out_local = _module_forward(kind, x, params, window)
+    covering = modules._is_global(x, window)
+    out_local = None if covering else _module_forward(kind, x, params, window)
 
     outdir = _outdir(args.outdir)
     shape = x.data.shape
     _write_rows(outdir / "global.tlct", shape, _global_rows(x.data, *steps))
-    write_tensor(out_local, outdir / "local.tlct")
-    channel_max = np.empty(x.channels)
-    _write_rows(outdir / "absdiff.tlct", shape,
-                _global_rows(x.data, *steps, out_local.data, channel_max))
+    channel_max = np.zeros(x.channels)
+    if covering:
+        _write_rows(outdir / "local.tlct", shape, _global_rows(x.data, *steps))
+        zeros = np.zeros(shape[1:])
+        _write_rows(outdir / "absdiff.tlct", shape,
+                    lambda lo, hi: np.broadcast_to(zeros, (hi - lo,) + zeros.shape))
+        local_at = functools.partial(_apply_at, x.data, *steps)
+    else:
+        write_tensor(out_local, outdir / "local.tlct")
+        _write_rows(outdir / "absdiff.tlct", shape,
+                    _global_rows(x.data, *steps, out_local.data, channel_max))
+        local_at = lambda cy, cx: out_local.data[:, cy, cx]
 
     macs = modules.module_macs(kind, x.channels, x.height, x.width, ratio)
+    k_h, k_w = window.effective(x.height, x.width)
     rows = [
+        ("window_h", k_h),
+        ("window_w", k_w),
         ("max_abs_diff", float(channel_max.max())),
         ("global_macs", macs["global_macs"]),
         ("local_macs", macs["local_macs"]),
         ("host_macs", macs["host_macs"]),
         ("local_overhead", macs["overhead"]),
     ]
-    rows.extend(_crop_law_spot_checks(kind, x, params, window, out_local))
+    rows.extend(_crop_law_spot_checks(kind, x, params, window, local_at))
     _write_csv(outdir / "report.csv", ["key", "value"], rows)
     return EXIT_OK
 
@@ -309,11 +323,23 @@ def _global_rows(x: np.ndarray, apply, coefficients: tuple,
     return rows
 
 
+def _apply_at(x: np.ndarray, apply, coefficients: tuple, cy: int, cx: int) -> np.ndarray:
+    """The apply step at pixel (cy, cx) of x alone, one value per
+    channel. Apply steps are elementwise, so this is bit for bit that
+    pixel of the apply step over the whole map."""
+    return apply(x[:, cy:cy + 1, cx:cx + 1], *coefficients, None)[:, 0, 0]
+
+
 def _crop_law_spot_checks(kind, x: FeatureMap, params, window: WindowSpec,
-                          local_out: FeatureMap, count=3):
-    """Local output at interior pixels vs the global module on the
-    centered crop, one row per distinct crop. The window is clamped to
-    the map, so one always fits."""
+                          local_at, count=3):
+    """Local output at interior pixels, local_at(cy, cx), vs the global
+    module on the centered crop, one row per distinct crop. The window
+    is clamped to the map, so one always fits.
+
+    Each reference is the global module's two steps: the coefficient
+    step on a copy of the crop, then the apply step on the one checked
+    pixel only (``_apply_at``), which is that pixel of the global
+    forward on the whole crop."""
     k_h, k_w = window.effective(x.height, x.width)
     rows = []
     tops_r = np.linspace(0, x.height - k_h, num=count, dtype=int)
@@ -321,11 +347,8 @@ def _crop_law_spot_checks(kind, x: FeatureMap, params, window: WindowSpec,
     for t_r, t_c in dict.fromkeys(zip(tops_r.tolist(), tops_c.tolist())):
         cy, cx = t_r + (k_h - 1) // 2, t_c + (k_w - 1) // 2
         crop = FeatureMap(x.data[:, t_r:t_r + k_h, t_c:t_c + k_w].copy())
-        ref = _module_forward(kind, crop, params, None)
-        err = float(
-            np.max(np.abs(local_out.data[:, cy, cx]
-                          - ref.data[:, cy - t_r, cx - t_c]))
-        )
+        ref = _apply_at(x.data, *_global_steps(kind, crop, params), cy, cx)
+        err = float(np.max(np.abs(local_at(cy, cx) - ref)))
         rows.append((f"crop_check_{cy}_{cx}", err))
     return rows
 

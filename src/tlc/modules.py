@@ -8,7 +8,10 @@ Each forward pass runs in one of two modes sharing the same parameters:
   semantics.
 * local (``window=WindowSpec``): the pooled scalar becomes a per-pixel
   map of windowed statistics and the rest of the module is applied
-  pointwise. No parameter changes, no retraining.
+  pointwise. No parameter changes, no retraining. A window that covers
+  the whole map (``window.effective(H, W) == (H, W)``) is the global
+  operator, so it runs global mode: no table or running max is built,
+  and the output is bit for bit the global one.
 
 For every pixel whose window lies fully inside the map, the local output
 equals the global module applied to the window-sized crop centered there.
@@ -209,6 +212,12 @@ def _normalize(x: np.ndarray, mu: np.ndarray, sd: np.ndarray, gamma: np.ndarray,
     return normed
 
 
+def _is_global(x: FeatureMap, window: WindowSpec | None) -> bool:
+    """Whether a forward runs global mode: no window, or one that
+    covers the whole map."""
+    return window is None or window.effective(x.height, x.width) == (x.height, x.width)
+
+
 def _global_forward(x: FeatureMap, apply, coefficients: tuple) -> FeatureMap:
     """The global-mode output: the apply step over every block of channels."""
     return FeatureMap(leading_map(apply, x.data, *coefficients))
@@ -248,7 +257,7 @@ def _norm_global(x: FeatureMap, p: NormParams):
 def se_forward(x: FeatureMap, p: SeParams, window: WindowSpec | None = None) -> FeatureMap:
     """Squeeze-and-excitation gating; local mode gates every pixel by the
     MLP of its windowed channel means."""
-    if window is None:
+    if _is_global(x, window):
         return _global_forward(x, *_se_global(x, p))
     return FeatureMap(_gate(x.data, _se_logits(x, p, window)))
 
@@ -260,7 +269,7 @@ def norm_forward(x: FeatureMap, p: NormParams, window: WindowSpec | None = None)
     map or the window (``integral._mean_var``), so groups=C gives IN.
     In local mode groups are normalized one slice of groups per core.
     """
-    if window is None:
+    if _is_global(x, window):
         return _global_forward(x, *_norm_global(x, p))
     per_group = (p.groups, -1, 1, 1)
 
@@ -278,7 +287,7 @@ def norm_forward(x: FeatureMap, p: NormParams, window: WindowSpec | None = None)
 def ge_forward(x: FeatureMap, window: WindowSpec | None = None) -> FeatureMap:
     """Parameter-free gather gate: sigmoid of the pooled channel mean;
     in local mode pooled and gated one slice of channels per core."""
-    if window is None:
+    if _is_global(x, window):
         return _global_forward(x, *_ge_global(x))
     return FeatureMap(leading_map(lambda xs, out: _gate(xs, _pool(xs, window), out), x.data))
 
@@ -288,7 +297,7 @@ def cbam_channel_forward(
 ) -> FeatureMap:
     """CBAM channel branch: shared MLP over avg-pooled and max-pooled
     statistics, summed before the sigmoid."""
-    if window is None:
+    if _is_global(x, window):
         return _global_forward(x, *_cbam_global(x, p))
     return FeatureMap(_gate(x.data, _cbam_logits(x, p, window)))
 

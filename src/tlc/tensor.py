@@ -102,9 +102,11 @@ class WindowSpec:
     """Local window size.
 
     The window is clamped to the map (effective size min(k, dim)), so a
-    window at least as large as the map degenerates to the global
-    operator. Window centers sit at top-left + (k-1)//2 and the interior
-    result is replicate-padded back to full size.
+    window at least as large as the map on both axes is the global
+    operator, and the forwards of ``tlc.modules`` run global mode for
+    it. A window that covers one axis only stays local. Window centers
+    sit at top-left + (k-1)//2 and the interior result is
+    replicate-padded back to full size.
     """
 
     k_h: int

@@ -12,7 +12,7 @@ import pytest
 from tlc import _parallel, cli, modules, tensor
 from tlc.cli import main
 from tlc.errors import MalformedHeader
-from tlc.tensor import FeatureMap, read_tensor, write_tensor
+from tlc.tensor import FeatureMap, WindowSpec, read_tensor, write_tensor
 
 
 def save_map(tmp_path, arr, name="in.tlct"):
@@ -575,23 +575,83 @@ def test_main_runs_a_command_function_rebound_after_the_first_call(monkeypatch, 
 def test_convert_runs_one_crop_reference_per_distinct_crop(tmp_path, rng, monkeypatch,
                                                            k, references):
     inp = save_map(tmp_path, rng.standard_normal((4, 10, 10)))
-    global_calls = []
-    forward = modules.ge_forward
+    crop_steps = []
+    in_checks = False
+    steps, checks = cli._global_steps, cli._crop_law_spot_checks
 
-    def counting(x, window=None):
-        if window is None:
-            global_calls.append(x.data.shape)
-        return forward(x, window)
+    def counting_steps(kind, x, params):
+        if in_checks:
+            crop_steps.append(x.data.shape)
+        return steps(kind, x, params)
 
-    monkeypatch.setattr(modules, "ge_forward", counting)
+    def counting_checks(*args, **kwargs):
+        nonlocal in_checks
+        in_checks = True
+        try:
+            return checks(*args, **kwargs)
+        finally:
+            in_checks = False
+
+    monkeypatch.setattr(cli, "_global_steps", counting_steps)
+    monkeypatch.setattr(cli, "_crop_law_spot_checks", counting_checks)
     outdir = tmp_path / "conv"
     assert main(["convert", "--module", "ge", "--input", str(inp), "--outdir", str(outdir),
                  "--k", str(k), str(k)]) == 0
-    assert len(global_calls) == references
+    assert len(crop_steps) == references
     with open(outdir / "report.csv") as fh:
         rows = list(csv.reader(fh))
     crop_rows = [row[0] for row in rows if row[0].startswith("crop_check")]
     assert len(crop_rows) == len(set(crop_rows)) == references
+
+
+@pytest.mark.parametrize("k,window", [(3, ("3", "3")), (11, ("10", "11")),
+                                      (64, ("10", "12"))])
+def test_convert_reports_the_effective_window(tmp_path, k, window):
+    params = _convert_inputs(tmp_path, (4, 10, 12))["ge"]
+    outdir = tmp_path / "conv"
+    assert main(_convert_argv(tmp_path, "ge", params, outdir, k)) == 0
+    report = read_report(outdir / "report.csv")
+    assert (report["window_h"], report["window_w"]) == window
+
+
+@pytest.mark.parametrize("module", ["se", "cbam", "ge", "in", "gn"])
+@pytest.mark.parametrize("k", [12, 64])
+def test_convert_with_a_covering_window_writes_global_as_local(tmp_path, monkeypatch,
+                                                               module, k):
+    params = _convert_inputs(tmp_path, (4, 10, 12))[module]
+    outdir = tmp_path / "conv"
+    monkeypatch.setattr(cli, "_module_forward", None)  # the module runs once
+    assert main(_convert_argv(tmp_path, module, params, outdir, k)) == 0
+    assert (outdir / "local.tlct").read_bytes() == (outdir / "global.tlct").read_bytes()
+    assert not read_tensor(outdir / "absdiff.tlct").data.any()
+    report = read_report(outdir / "report.csv")
+    checks = [float(v) for key, v in report.items() if key.startswith("crop_check")]
+    assert float(report["max_abs_diff"]) == 0.0 and checks == [0.0]
+
+
+@pytest.mark.parametrize("kind", ["se", "cbam", "ge", "in", "gn"])
+@pytest.mark.parametrize("window", [WindowSpec(5, 5), WindowSpec(4, 12), WindowSpec(1, 1)],
+                         ids=str)
+def test_one_pixel_crop_checks_equal_the_full_crop_forward(rng, kind, window):
+    x = FeatureMap(rng.standard_normal((4, 10, 12)) * 3.0 + 50.0)
+    se = modules.SeParams(rng.standard_normal((4, 2)), rng.standard_normal((2, 4)), ratio=2)
+    gamma, beta = rng.uniform(0.5, 1.5, 4), rng.uniform(-1, 1, 4)
+    params = {"se": se, "cbam": se, "ge": None,
+              "in": modules.NormParams(gamma, beta, groups=4),
+              "gn": modules.NormParams(gamma, beta, groups=2)}[kind]
+    local = cli._module_forward(kind, x, params, window)
+    rows = cli._crop_law_spot_checks(kind, x, params, window,
+                                     lambda cy, cx: local.data[:, cy, cx])
+    k_h, k_w = window.effective(x.height, x.width)
+    want = []
+    for t_r, t_c in dict.fromkeys(zip(np.linspace(0, x.height - k_h, 3, dtype=int).tolist(),
+                                      np.linspace(0, x.width - k_w, 3, dtype=int).tolist())):
+        cy, cx = t_r + (k_h - 1) // 2, t_c + (k_w - 1) // 2
+        crop = FeatureMap(x.data[:, t_r:t_r + k_h, t_c:t_c + k_w].copy())
+        ref = cli._module_forward(kind, crop, params, None).data[:, cy - t_r, cx - t_c]
+        want.append((f"crop_check_{cy}_{cx}", float(np.max(np.abs(local.data[:, cy, cx] - ref)))))
+    assert len(rows) == 3
+    assert rows == want
 
 
 @pytest.mark.parametrize("command,key", [

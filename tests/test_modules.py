@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tlc import integral, modules
 from tlc.errors import InvalidGroupCount, ShapeMismatch
 from tlc.modules import (
     NormParams,
@@ -396,3 +397,54 @@ def test_crop_law_holds_for_every_module_in_both_modes(kind, case):
         assert np.max(np.abs(local[:, i, j] - want)) <= tol
     if (k_h, k_w) == (h, w):  # one window covers the map: local is global
         assert np.max(np.abs(local - glob)) <= tol
+
+
+# --- covering windows ---------------------------------------------------------
+#
+# A window at least as large as the map on both axes is the global
+# operator, and the forwards run global mode for it. A window that
+# covers one axis only is still local.
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Calls of the table and running-max kernels, counted by name."""
+    calls = []
+    for owner, name in ((integral, "build_integral"), (integral, "window_sums"),
+                        (integral, "_max"), (modules, "local_aggregate"),
+                        (modules, "local_max")):
+        def counting(*args, _f=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", MODULES)
+@pytest.mark.parametrize("window", [WindowSpec(9, 11), WindowSpec(9, 40),
+                                    WindowSpec(30, 11), WindowSpec(64, 64)], ids=str)
+def test_covering_window_is_global_mode_bit_for_bit(kind, window, rng, params,
+                                                    kernel_calls):
+    x = FeatureMap(rng.standard_normal((4, 9, 11)) + 3.0)
+    glob = FORWARDS[kind](x, params, None).data
+    assert np.array_equal(FORWARDS[kind](x, params, window).data, glob)
+    assert kernel_calls == []
+
+
+@pytest.mark.parametrize("kind", MODULES)
+@pytest.mark.parametrize("window", [WindowSpec(9, 4), WindowSpec(3, 40)], ids=str)
+def test_window_covering_one_axis_stays_local(kind, window, rng, params, kernel_calls):
+    x = FeatureMap(rng.standard_normal((4, 9, 11)) + 3.0)
+    local = FORWARDS[kind](x, params, window).data
+    assert kernel_calls
+    assert not np.array_equal(local, FORWARDS[kind](x, params, None).data)
+    h, w = x.height, x.width
+    k_h, k_w = window.effective(h, w)
+    tol = _tolerance(kind, x.data)
+    for i in range(h):
+        for j in range(w):
+            top = min(max(i - (k_h - 1) // 2, 0), h - k_h)
+            left = min(max(j - (k_w - 1) // 2, 0), w - k_w)
+            crop = FeatureMap(x.data[:, top:top + k_h, left:left + k_w].copy())
+            want = FORWARDS[kind](crop, params, None).data[:, i - top, j - left]
+            assert np.max(np.abs(local[:, i, j] - want)) <= tol
