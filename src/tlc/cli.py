@@ -3,9 +3,9 @@
 Subcommands: aggregate, convert, stats, calibrate, bench, demo, fuse.
 Each command takes only the flags it reads, and ``tlc <command> -h``
 lists them. Exit codes: 0 success, 1 usage error (an unknown or unread
-flag too), 2 I/O error (a CSV or output directory that cannot be written
-too), 3 data/shape error, 4 property-check failure (stats/bench
-assertions).
+flag too, such as ``--r`` with a --stat other than strided-mean), 2 I/O
+error (a CSV or output directory that cannot be written too), 3
+data/shape error, 4 property-check failure (stats/bench assertions).
 
 Every command takes ``--config PATH`` pointing at a flat key=value file
 (# comments allowed). Its keys are exactly the command's flags without
@@ -163,6 +163,8 @@ def cmd_aggregate(args) -> int:
         raise UsageError("aggregate needs --input and --output")
     if args.brute_force and args.stat not in ("mean", "var"):
         raise UsageError(f"--brute-force has no path for --stat {args.stat}")
+    if args.r is not None and args.stat != "strided-mean":
+        raise UsageError(f"--r is not read by --stat {args.stat}, only by strided-mean")
     window = _window(args)
     data = read_tensor(args.input).data
     if args.stat == "mean":
@@ -186,7 +188,7 @@ def cmd_aggregate(args) -> int:
         # --r 0 and an --r that leaves a window without samples are
         # both a bad choice of flags, not bad data.
         try:
-            stat = strided_local_mean(data, window, args.r)
+            stat = strided_local_mean(data, window, 1 if args.r is None else args.r)
         except (ValueError, EmptyWindowSample) as exc:
             raise UsageError(str(exc)) from exc
     out = FeatureMap(stat)
@@ -213,22 +215,12 @@ def _module_forward(kind: str, x: FeatureMap, params, window):
     return modules.cbam_channel_forward(x, params, window)
 
 
-def _global_steps(kind: str, x: FeatureMap, params):
-    """The coefficient step of a module's global mode (see tlc.modules):
-    its per-block apply step and the (C, 1, 1) coefficients it takes."""
-    if kind == "se":
-        return modules._se_global(x, params)
-    if kind in ("in", "gn"):
-        return modules._norm_global(x, params)
-    if kind == "ge":
-        return modules._ge_global(x)
-    return modules._cbam_global(x, params)
-
-
 def cmd_convert(args) -> int:
     if not args.input or not args.outdir or not args.module:
         raise UsageError("convert needs --input, --outdir and --module")
     kind = args.module
+    if kind == "ge" and args.params is not None:
+        raise UsageError("--params is not read by --module ge, which has no parameters")
     window = _window(args)
     x = read_tensor(args.input)
     params = None
@@ -249,7 +241,7 @@ def cmd_convert(args) -> int:
     # written. A window that covers the map makes the local output the
     # global one (see tlc.modules), so local.tlct is then written from
     # the same blocks, |global - local| is zero, and the module runs once.
-    steps = _global_steps(kind, x, params)
+    steps = modules._global_steps(kind, x, params)
     covering = modules._is_global(x, window)
     out_local = None if covering else _module_forward(kind, x, params, window)
 
@@ -347,7 +339,7 @@ def _crop_law_spot_checks(kind, x: FeatureMap, params, window: WindowSpec,
     for t_r, t_c in dict.fromkeys(zip(tops_r.tolist(), tops_c.tolist())):
         cy, cx = t_r + (k_h - 1) // 2, t_c + (k_w - 1) // 2
         crop = FeatureMap(x.data[:, t_r:t_r + k_h, t_c:t_c + k_w].copy())
-        ref = _apply_at(x.data, *_global_steps(kind, crop, params), cy, cx)
+        ref = _apply_at(x.data, *modules._global_steps(kind, crop, params), cy, cx)
         err = float(np.max(np.abs(local_at(cy, cx) - ref)))
         rows.append((f"crop_check_{cy}_{cx}", err))
     return rows
@@ -479,6 +471,9 @@ def cmd_demo(args) -> int:
 def cmd_fuse(args) -> int:
     if not args.input or not args.outdir:
         raise UsageError("fuse needs --input and --outdir")
+    if args.temperature is not None and args.transform != "attention":
+        raise UsageError(f"--temperature is not read by --transform {args.transform}, "
+                         "only by attention")
     x = read_tensor(args.input)
     k = args.k
     stride = args.stride or [max(1, k[0] // 2), max(1, k[1] // 2)]
@@ -486,7 +481,8 @@ def cmd_fuse(args) -> int:
         plan = fusion.plan_tiles(x.height, x.width, (k[0], k[1]),
                                  (stride[0], stride[1]))
         if args.transform == "attention":
-            p = fusion.AttnParams(temperature=args.temperature)
+            p = (fusion.AttnParams() if args.temperature is None
+                 else fusion.AttnParams(args.temperature))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.transform == "identity":
@@ -532,7 +528,7 @@ def build_parser() -> _Parser:
     pair(p, "--k", [384, 384])
     p.add_argument("--stat", choices=("mean", "var", "max", "strided-mean"),
                    default="mean")
-    p.add_argument("--r", type=int, default=1, help="stride for strided-mean")
+    p.add_argument("--r", type=int, help="stride for strided-mean (default 1)")
     p.add_argument("--brute-force", action="store_true",
                    help="use the O(K^2)-per-pixel reference path (--stat mean, var)")
 
@@ -573,7 +569,7 @@ def build_parser() -> _Parser:
     pair(p, "--stride", None)
     p.add_argument("--transform", choices=("identity", "attention", "mean-broadcast"),
                    default="identity")
-    p.add_argument("--temperature", type=float, default=1.0)
+    p.add_argument("--temperature", type=float, help="for attention (default 1.0)")
     return parser
 
 

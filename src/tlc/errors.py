@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all tlc modules.
 
-The CLI maps these onto exit codes: usage errors -> 1, I/O errors -> 2,
-data/shape errors -> 3 (see tlc.cli).
+The CLI maps these onto exit codes (see tlc.cli): usage errors -> 1,
+I/O errors (``IoFailure``, including ``MalformedHeader`` and
+``TruncatedPayload``) -> 2, data/shape errors -> 3, and a failed property
+check of ``stats`` or ``bench`` -> 4, which the CLI raises itself.
 """
 
 

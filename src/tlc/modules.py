@@ -16,14 +16,17 @@ Each forward pass runs in one of two modes sharing the same parameters:
 For every pixel whose window lies fully inside the map, the local output
 equals the global module applied to the window-sized crop centered there.
 
-Global mode is two private steps. A coefficient step reads the whole map
-and returns a few values per channel, shaped (C, 1, 1): the sigmoid gate
-for SE, CBAM and GE, or the group mean and sqrt(var + eps) with gamma
-and beta for IN/GN. An apply step then writes any block of channels of
-the output from those values and the same channels of x. The public
-forward runs the apply step over the whole map; ``tlc convert`` runs it
-per block and writes each block to disk, so the global output never
-exists as a full map there.
+Each module kind is defined once, in one private dispatch that both
+modes share. SE, CBAM and GE gate x by the sigmoid of their logits (one
+table maps each of these kinds to its logits function); IN/GN normalizes
+x by the group mean and sqrt(var + eps). Global mode is a coefficient
+step (``_global_steps``), which reads the whole map and returns (C, 1, 1)
+values (the gate, or the group statistics with gamma and beta), then an
+apply step that writes any block of channels of the output from them.
+``tlc convert`` runs the apply step per block and writes each block to
+disk, so the global output never exists as a full map there. Local mode
+gates x over whole-map logits, in their own memory; local IN/GN computes
+its statistics one block of groups at a time.
 """
 
 from __future__ import annotations
@@ -50,20 +53,19 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.divide(1.0, z, out=z)
 
 
-def _gate(x: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """x * sigmoid(z) for a full-size (local-mode) gate z that the caller
-    has just computed.
+def _gate(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """x * sigmoid(z), written over the full-size (local-mode) logits z
+    that the caller has just computed.
 
-    The sigmoid runs in z's own memory, and the product lands there too
-    unless ``out`` is given: on a full-resolution map each full-size
-    temporary costs more than the arithmetic it holds. z must therefore
-    be an array no one else sees; x is only read. The work runs per
-    channel slice.
+    The sigmoid and the product both run in z's own memory: on a
+    full-resolution map each full-size temporary costs more than the
+    arithmetic it holds. z must therefore be an array no one else sees;
+    x is only read. The work runs per channel slice.
     """
-    return leading_map(_sigmoid_times, x, z, out=z if out is None else out)
+    return leading_map(_sigmoid_times, x, z, out=z)
 
 
-def _sigmoid_times(x: np.ndarray, z: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+def _sigmoid_times(x: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.multiply(x, _sigmoid(z), out=out)
 
 
@@ -193,10 +195,11 @@ def _grouped(x: FeatureMap, p: NormParams) -> np.ndarray:
     return x.data.reshape(p.groups, -1, x.height, x.width)
 
 
-# --- global mode --------------------------------------------------------------
+# --- both modes ---------------------------------------------------------------
 #
-# Apply steps. Each takes a block of channels of x, the same rows of the
-# (C, 1, 1) coefficients, and the block's output (None allocates it).
+# Apply steps of global mode. Each takes a block of channels of x, the
+# same rows of the (C, 1, 1) coefficients, and the block's output (None
+# allocates it).
 
 
 def _scale(x: np.ndarray, gate: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -218,30 +221,24 @@ def _is_global(x: FeatureMap, window: WindowSpec | None) -> bool:
     return window is None or window.effective(x.height, x.width) == (x.height, x.width)
 
 
-def _global_forward(x: FeatureMap, apply, coefficients: tuple) -> FeatureMap:
-    """The global-mode output: the apply step over every block of channels."""
-    return FeatureMap(leading_map(apply, x.data, *coefficients))
+# The gated modules: each gates x by the sigmoid of these logits, taken
+# over the whole map (window None) or the window around every pixel.
+_LOGITS = {
+    "se": _se_logits,
+    "cbam": _cbam_logits,
+    "ge": lambda x, p, window: _pool(x.data, window),
+}
 
 
-# Coefficient steps. Each reads the whole map and returns its apply step
-# and the (C, 1, 1) coefficients that step takes.
-
-
-def _se_global(x: FeatureMap, p: SeParams):
-    return _scale, (_sigmoid(_se_logits(x, p, None)),)
-
-
-def _cbam_global(x: FeatureMap, p: SeParams):
-    return _scale, (_sigmoid(_cbam_logits(x, p, None)),)
-
-
-def _ge_global(x: FeatureMap):
-    return _scale, (_sigmoid(_pool(x.data, None)),)
-
-
-def _norm_global(x: FeatureMap, p: NormParams):
-    """Each group's statistics, one block of groups per core with a
-    block-sized scratch, then repeated for each channel of the group."""
+def _global_steps(kind: str, x: FeatureMap, p):
+    """The coefficient step of a module's global mode: it reads the whole
+    map and returns the apply step and the (C, 1, 1) coefficients that
+    step takes. kind is a ``tlc convert --module`` name; "in" and "gn"
+    both run the group norm of p.groups."""
+    if kind in _LOGITS:
+        return _scale, (_sigmoid(_LOGITS[kind](x, p, None)),)
+    # Each group's statistics, one block of groups per core with a
+    # block-sized scratch, then repeated for each channel of the group.
     grouped = _grouped(x, p)
     mu, sd = np.empty((2, p.groups, 1, 1, 1))
     leading_map(lambda g, m, out: _group_stats(g, None, p.eps, np.empty(g.shape), m, out)[1],
@@ -251,26 +248,13 @@ def _norm_global(x: FeatureMap, p: NormParams):
     return _normalize, (mu, sd, p.gamma.reshape(-1, 1, 1), p.beta.reshape(-1, 1, 1))
 
 
-# --- forwards -----------------------------------------------------------------
-
-
-def se_forward(x: FeatureMap, p: SeParams, window: WindowSpec | None = None) -> FeatureMap:
-    """Squeeze-and-excitation gating; local mode gates every pixel by the
-    MLP of its windowed channel means."""
+def _forward(kind: str, x: FeatureMap, p, window: WindowSpec | None) -> FeatureMap:
+    """The forward of every module kind (see _global_steps) in either mode."""
     if _is_global(x, window):
-        return _global_forward(x, *_se_global(x, p))
-    return FeatureMap(_gate(x.data, _se_logits(x, p, window)))
-
-
-def norm_forward(x: FeatureMap, p: NormParams, window: WindowSpec | None = None) -> FeatureMap:
-    """Instance/group normalization with affine.
-
-    Group statistics are means over the group's channels and the whole
-    map or the window (``integral._mean_var``), so groups=C gives IN.
-    In local mode groups are normalized one slice of groups per core.
-    """
-    if _is_global(x, window):
-        return _global_forward(x, *_norm_global(x, p))
+        apply, coefficients = _global_steps(kind, x, p)
+        return FeatureMap(leading_map(apply, x.data, *coefficients))
+    if kind in _LOGITS:
+        return FeatureMap(_gate(x.data, _LOGITS[kind](x, p, window)))
     per_group = (p.groups, -1, 1, 1)
 
     def body(g, gamma, beta, out):
@@ -284,12 +268,28 @@ def norm_forward(x: FeatureMap, p: NormParams, window: WindowSpec | None = None)
     return FeatureMap(normed.reshape(x.data.shape))
 
 
+# --- forwards -----------------------------------------------------------------
+
+
+def se_forward(x: FeatureMap, p: SeParams, window: WindowSpec | None = None) -> FeatureMap:
+    """Squeeze-and-excitation gating; local mode gates every pixel by the
+    MLP of its windowed channel means."""
+    return _forward("se", x, p, window)
+
+
+def norm_forward(x: FeatureMap, p: NormParams, window: WindowSpec | None = None) -> FeatureMap:
+    """Instance/group normalization with affine.
+
+    Group statistics are means over the group's channels and the whole
+    map or the window (``integral._mean_var``), so groups=C gives IN.
+    In local mode groups are normalized one slice of groups per core.
+    """
+    return _forward("gn", x, p, window)
+
+
 def ge_forward(x: FeatureMap, window: WindowSpec | None = None) -> FeatureMap:
-    """Parameter-free gather gate: sigmoid of the pooled channel mean;
-    in local mode pooled and gated one slice of channels per core."""
-    if _is_global(x, window):
-        return _global_forward(x, *_ge_global(x))
-    return FeatureMap(leading_map(lambda xs, out: _gate(xs, _pool(xs, window), out), x.data))
+    """Parameter-free gather gate: sigmoid of the pooled channel mean."""
+    return _forward("ge", x, None, window)
 
 
 def cbam_channel_forward(
@@ -297,9 +297,7 @@ def cbam_channel_forward(
 ) -> FeatureMap:
     """CBAM channel branch: shared MLP over avg-pooled and max-pooled
     statistics, summed before the sigmoid."""
-    if _is_global(x, window):
-        return _global_forward(x, *_cbam_global(x, p))
-    return FeatureMap(_gate(x.data, _cbam_logits(x, p, window)))
+    return _forward("cbam", x, p, window)
 
 
 # --- multiply-accumulate accounting -----------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import errno
+import inspect
 import os
 import subprocess
 import sys
@@ -577,7 +578,7 @@ def test_convert_runs_one_crop_reference_per_distinct_crop(tmp_path, rng, monkey
     inp = save_map(tmp_path, rng.standard_normal((4, 10, 10)))
     crop_steps = []
     in_checks = False
-    steps, checks = cli._global_steps, cli._crop_law_spot_checks
+    steps, checks = modules._global_steps, cli._crop_law_spot_checks
 
     def counting_steps(kind, x, params):
         if in_checks:
@@ -592,7 +593,7 @@ def test_convert_runs_one_crop_reference_per_distinct_crop(tmp_path, rng, monkey
         finally:
             in_checks = False
 
-    monkeypatch.setattr(cli, "_global_steps", counting_steps)
+    monkeypatch.setattr(modules, "_global_steps", counting_steps)
     monkeypatch.setattr(cli, "_crop_law_spot_checks", counting_checks)
     outdir = tmp_path / "conv"
     assert main(["convert", "--module", "ge", "--input", str(inp), "--outdir", str(outdir),
@@ -627,6 +628,34 @@ def test_convert_with_a_covering_window_writes_global_as_local(tmp_path, monkeyp
     report = read_report(outdir / "report.csv")
     checks = [float(v) for key, v in report.items() if key.startswith("crop_check")]
     assert float(report["max_abs_diff"]) == 0.0 and checks == [0.0]
+
+
+FORWARDS = {"se": "se_forward", "cbam": "cbam_channel_forward", "ge": "ge_forward",
+            "in": "norm_forward", "gn": "norm_forward"}
+
+
+@pytest.mark.parametrize("module", ["se", "cbam", "ge", "in", "gn"])
+@pytest.mark.parametrize("k,local", [(5, True), (12, False)], ids=["local", "covering"])
+def test_convert_calls_the_public_forward_looked_up_at_call_time(tmp_path, monkeypatch,
+                                                                 module, k, local):
+    # A tracer sees the module calls by rebinding these attributes of
+    # tlc.modules, so convert must look each forward up there per call.
+    params = _convert_inputs(tmp_path, (4, 10, 12))[module]
+    windows = {name: [] for name in set(FORWARDS.values())}
+    for name in windows:
+        forward = getattr(modules, name)
+        signature = inspect.signature(forward)
+
+        def counting(*args, forward=forward, signature=signature, name=name, **kwargs):
+            windows[name].append(signature.bind(*args, **kwargs).arguments.get("window"))
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(modules, name, counting)
+    assert main(_convert_argv(tmp_path, module, params, tmp_path / "conv", k)) == 0
+    want = {name: [] for name in windows}
+    if local:
+        want[FORWARDS[module]] = [WindowSpec(k, k)]
+    assert windows == want
 
 
 @pytest.mark.parametrize("kind", ["se", "cbam", "ge", "in", "gn"])
@@ -792,6 +821,54 @@ def test_flag_a_command_does_not_read_is_a_usage_error(tmp_path, rng, capsys, co
     assert main([command] + argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command,argv,flag,value", [
+    ("convert", ["--module", "ge", "--k", "3", "3"], "params", "{d}/se.params"),
+    ("aggregate", ["--stat", "mean"], "r", "2"),
+    ("aggregate", ["--stat", "var"], "r", "1"),
+    ("aggregate", ["--stat", "max"], "r", "2"),
+    ("fuse", ["--transform", "identity"], "temperature", "0.5"),
+    ("fuse", ["--transform", "mean-broadcast"], "temperature", "1"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_flag_the_other_flags_leave_unread_is_a_usage_error(tmp_path, capsys, command, argv,
+                                                            flag, value, source):
+    _convert_inputs(tmp_path, (4, 8, 8))  # x.tlct and a valid se.params
+    inp, value = str(tmp_path / "x.tlct"), value.format(d=tmp_path)
+    argv = argv + {
+        "convert": ["--input", inp, "--outdir", str(tmp_path / "out")],
+        "aggregate": ["--input", inp, "--output", str(tmp_path / "o.tlct"), "--k", "3", "3"],
+        "fuse": ["--input", inp, "--outdir", str(tmp_path / "out"), "--k", "4", "4"],
+    }[command]
+    if source == "flag":
+        argv += [f"--{flag}", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag} = {value}\n")
+        argv += ["--config", str(cfg)]
+    before = sorted(tmp_path.iterdir())
+    assert main([command] + argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: --{flag} is not read by ")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command,argv,flags", [
+    ("aggregate", ["--stat", "strided-mean", "--k", "4", "4"], ["--r", "1"]),
+    ("fuse", ["--transform", "attention", "--k", "4", "4", "--stride", "2", "2"],
+     ["--temperature", "1.0"]),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_omitted_conditional_flag_reads_as_its_default(tmp_path, rng, command, argv, flags):
+    inp = save_map(tmp_path, rng.standard_normal((3, 9, 11)))
+    outputs = []
+    for extra in ([], flags):
+        out = tmp_path / f"out{len(outputs)}"
+        dest = (["--output", str(out / "o.tlct")] if command == "aggregate"
+                else ["--outdir", str(out)])
+        out.mkdir()
+        assert main([command, "--input", str(inp)] + dest + argv + extra) == 0
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1] and outputs[0]
 
 
 def test_config_naming_another_config_is_a_usage_error(tmp_path, capsys):

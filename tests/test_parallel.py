@@ -488,11 +488,11 @@ def _global_steps(c):
     gamma, beta = rng.uniform(0.5, 1.5, c), rng.uniform(-0.5, 0.5, c)
     groups = next(g for g in (3, 2, 1) if c % g == 0)
     return {
-        "se": lambda x: modules._se_global(x, se),
-        "cbam": lambda x: modules._cbam_global(x, se),
-        "gn": lambda x: modules._norm_global(x, NormParams(gamma, beta, groups=groups)),
-        "in": lambda x: modules._norm_global(x, NormParams(gamma, beta, groups=c)),
-        "ge": modules._ge_global,
+        "se": lambda x: modules._global_steps("se", x, se),
+        "cbam": lambda x: modules._global_steps("cbam", x, se),
+        "gn": lambda x: modules._global_steps("gn", x, NormParams(gamma, beta, groups=groups)),
+        "in": lambda x: modules._global_steps("in", x, NormParams(gamma, beta, groups=c)),
+        "ge": lambda x: modules._global_steps("ge", x, None),
     }
 
 
