@@ -28,7 +28,10 @@ cores. The blocks run in order on one thread per core the process may
 use, each writing its part of one preallocated output; smaller maps,
 and calls made from those threads, stay on the calling thread. Results
 are bit-identical to a single-thread run. There is no setting for it,
-and BLAS threading is not touched.
+and BLAS threading is not touched. ``strided_local_mean`` takes its
+window means from ``local_aggregate`` on the stride-r grid, so they run
+in the same blocks, and its gather back to full size runs on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -249,11 +252,16 @@ def local_max(x: np.ndarray, w: WindowSpec) -> np.ndarray:
 
 
 def strided_local_mean(x: np.ndarray, w: WindowSpec, stride: int) -> np.ndarray:
-    """Approximate windowed mean from a stride-r subsampled grid.
+    """Approximate windowed mean from the stride-r grid x[..., ::r, ::r].
 
-    The summed-area table is built over x[::r, ::r] (grid anchored at
-    the origin); each window's value is the mean of the sampled points
-    it contains. stride 1 reproduces local_aggregate bit-exactly.
+    Per axis, a window of k pixels becomes one of c = ceil(k/r) grid
+    samples, the most at spacing r that fit in k. local_aggregate takes
+    the mean of every such window on the grid, and each pixel gets the
+    one whose sample centroid is nearest the centre of its own (nearest
+    interior) window, ties to the even first sample. Where r divides k
+    that is the mean of the samples the window contains; an axis the
+    window spans takes all its samples. stride 1 is local_aggregate.
+    EmptyWindowSample: r > k on an axis the window does not span.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -262,32 +270,20 @@ def strided_local_mean(x: np.ndarray, w: WindowSpec, stride: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     h, wid = x.shape[-2:]
     k_h, k_w = w.effective(h, wid)
-    sampled = x[..., ::stride, ::stride]
-    hs, ws = sampled.shape[-2:]
-    table = build_integral(sampled)
+    if (k_h < h and stride > k_h) or (k_w < wid and stride > k_w):
+        raise EmptyWindowSample(f"stride {stride} leaves windows of size ({k_h}, {k_w}) empty")
+    c_h, c_w = -(-k_h // stride), -(-k_w // stride)
+    coarse = local_aggregate(x[..., ::stride, ::stride], WindowSpec(c_h, c_w))
 
-    # Sampled indices p with t <= p*stride < t+k, for every valid top-left t.
-    def bounds(n_tops, k, limit):
-        tops = np.arange(n_tops)
-        lo = (tops + stride - 1) // stride
-        hi = np.minimum((tops + k + stride - 1) // stride, limit)
-        return lo, hi
+    def nearest(n, k, c, n_coarse):
+        # local_aggregate stores a grid window's mean at its first sample + (c-1)//2.
+        tops = np.clip(np.arange(n) - (k - 1) // 2, 0, n - k)
+        first = np.rint((tops + (k - 1) / 2) / stride - (c - 1) / 2).astype(np.intp)
+        return np.clip(first, 0, n_coarse - c) + (c - 1) // 2
 
-    row_lo, row_hi = bounds(h - k_h + 1, k_h, hs)
-    col_lo, col_hi = bounds(wid - k_w + 1, k_w, ws)
-    counts = (row_hi - row_lo)[:, None] * (col_hi - col_lo)[None, :]
-    if np.any(counts <= 0):
-        raise EmptyWindowSample(
-            f"stride {stride} leaves windows of size ({k_h}, {k_w}) empty"
-        )
-    sums = (
-        table[..., row_hi[:, None], col_hi[None, :]]
-        - table[..., row_lo[:, None], col_hi[None, :]]
-        - table[..., row_hi[:, None], col_lo[None, :]]
-        + table[..., row_lo[:, None], col_lo[None, :]]
-    )
-    interior = sums / counts
-    return replicate_to_full(interior, h, wid, k_h, k_w)
+    rows = nearest(h, k_h, c_h, coarse.shape[-2])
+    cols = nearest(wid, k_w, c_w, coarse.shape[-1])
+    return np.take(np.take(coarse, rows, axis=-2), cols, axis=-1)
 
 
 def brute_force_local_mean(x: np.ndarray, w: WindowSpec) -> np.ndarray:

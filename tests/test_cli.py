@@ -13,6 +13,7 @@ import pytest
 from tlc import _parallel, cli, modules, tensor
 from tlc.cli import main
 from tlc.errors import MalformedHeader
+from tlc.integral import strided_local_mean
 from tlc.tensor import FeatureMap, WindowSpec, read_tensor, write_tensor
 
 
@@ -355,6 +356,18 @@ def test_strided_mean_bad_stride_is_a_usage_error(tmp_path, rng, capsys, k, r):
     assert "stride" in capsys.readouterr().err
     assert not out.exists()
     assert not out.with_suffix(".csv").exists()
+
+
+def test_strided_mean_stride_past_a_spanning_window_runs(tmp_path, rng):
+    # The 5-row window spans the rows, so every window holds a sample
+    # row although r = 8 > 5; the 8-column window has a sample column.
+    x = rng.standard_normal((1, 5, 9))
+    inp = save_map(tmp_path, x)
+    out = tmp_path / "o.tlct"
+    assert main(["aggregate", "--input", str(inp), "--output", str(out),
+                 "--stat", "strided-mean", "--k", "5", "8", "--r", "8"]) == 0
+    want = strided_local_mean(read_tensor(inp).data, WindowSpec(5, 8), 8)
+    assert np.array_equal(read_tensor(out).data, want.astype(np.float32))
 
 
 def _sliding_two_pass_var(x, k):

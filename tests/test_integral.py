@@ -20,7 +20,7 @@ from tlc.integral import (
 )
 from tlc.tensor import WindowSpec
 
-from conftest import sliding_stats_oracle
+from conftest import sliding_stats_oracle, strided_mean_oracle
 
 X22 = np.array([[1.0, 2.0], [3.0, 4.0]])
 
@@ -254,8 +254,8 @@ def _window_side(dim):
 
 
 @st.composite
-def batched_case(draw):
-    c = draw(st.integers(1, 4))
+def batched_case(draw, max_c=4):
+    c = draw(st.integers(1, max_c))
     h = draw(st.integers(1, 40))
     w = draw(st.integers(1, 40))
     offset = draw(st.floats(-1e3, 1e3))
@@ -318,6 +318,30 @@ def test_batched_strided_mean_equals_stacked_channel_calls(case, stride):
         assert all(p is EmptyWindowSample for p in per_channel)
     else:
         assert np.array_equal(got, np.stack(per_channel))
+
+
+# More examples than the other batched tests: a third of the draws raise,
+# and only about one in twenty has r >= 2 dividing both window sides.
+@settings(BATCH_SETTINGS, max_examples=200)
+@given(case=batched_case(max_c=3), r=st.integers(1, 8))
+def test_strided_mean_matches_loop_oracle(case, r):
+    x, w = case
+    oracles = [strided_mean_oracle(ch, w, r) for ch in x]
+    # It raises exactly when some window holds no sample.
+    if oracles[0] is None:
+        with pytest.raises(EmptyWindowSample):
+            strided_local_mean(x, w, r)
+        return
+    got = strided_local_mean(x, w, r)
+    nearest = np.stack([o[0] for o in oracles])
+    contained = np.stack([o[1] for o in oracles])
+    tol = 1e-12 * (1.0 + np.abs(x).max())
+    # The definition: the sample mean of the nearest grid window.
+    assert np.max(np.abs(got - nearest)) <= tol
+    # Where r divides both effective sides, that is the mean of the
+    # samples each window contains.
+    if all(k % r == 0 for k in w.effective(*x.shape[-2:])):
+        assert np.max(np.abs(got - contained)) <= tol
 
 
 # --- against a sliding_window_view reference ---------------------------------

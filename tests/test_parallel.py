@@ -24,6 +24,7 @@ from tlc.integral import (
     local_max,
     local_mean_var,
     replicate_to_full,
+    strided_local_mean,
     window_sums,
 )
 from tlc.modules import (
@@ -341,6 +342,17 @@ def test_blocked_kernel_equals_serial(monkeypatch, recording, name, shape, worke
         assert recording.rows == per_call * MAP_CALLS[name]
         assert sum(per_call) == shape[0] and len(set(per_call[:-1])) <= 1
         assert per_call[0] >= per_call[-1]
+
+
+@pytest.mark.parametrize("shape", [(7, 13, 17), (5, 2, 13, 17)], ids=str)
+@pytest.mark.parametrize("w", [WindowSpec(4, 7), WindowSpec(6, 6), WindowSpec(50, 50)], ids=str)
+def test_blocked_strided_mean_equals_serial(monkeypatch, recording, shape, w):
+    # The grid means run in local_aggregate's blocks, of two rows here.
+    x = _map(shape)
+    serial, split = serial_then_blocked(monkeypatch, lambda: strided_local_mean(x, w, 2),
+                                        2, 2 * x[0, ..., ::2, ::2].size)
+    assert_same(serial, split)
+    assert recording.tasks > 0
 
 
 @pytest.mark.parametrize("module", ["se", "cbam", "gn", "in", "ge"])
