@@ -1,19 +1,22 @@
-"""Leading-axis blocked map for the windowed kernels, the module bodies
-and the FeatureMap check, the block size that TLCT I/O buffers share,
-the round size in which ``convert`` computes the global output it
-streams to disk, and an ordered map over independent tasks (the shift
-experiment's full maps).
+"""Leading-axis blocked map for the windowed kernels, the module bodies,
+the seam metric, the FeatureMap check and convert's streamed rounds, the
+block size that TLCT I/O buffers share, the round size in which
+``convert`` computes the global output it streams to disk, and an ordered
+map over independent tasks (the shift experiment's full maps).
 
-An array of shape (N, ..., H, W) of at least 2**20 values is cut along
-axis 0 into contiguous blocks of whole rows of a few megabytes each,
-and the blocks run in order on one shared thread pool with one thread
-per core the process may run on. A block's temporaries are then a few
-megabytes too, and are reused from one block to the next, where
-full-size temporaries would stream every step through memory and fault
-in fresh pages. NumPy releases the interpreter lock inside its
-loops, so the blocks compute at the same time. Every block goes
-through exactly the arithmetic the whole-array call would give its
-rows, so results are bit-identical to the single-thread run. BLAS
+One rule cuts every computed map into blocks: an array of shape
+(N, ..., H, W) of at least 2**20 values is cut along axis 0 into
+contiguous blocks of whole rows of a few megabytes each, never fewer
+blocks than cores. The blocks run on one shared thread pool with one
+thread per core the process may run on or, on one core and inside a
+pool thread, in order on the calling thread. A block's temporaries are
+then a few megabytes too, and are reused from one block to the next,
+where full-size temporaries would stream every step through memory and
+fault in fresh pages: on one core, a 64x512x512 convert peaked at
+392 MB of RSS instead of 763 MB. NumPy releases the interpreter lock
+inside its loops, so pooled blocks compute at the same time. Every
+block goes through exactly the arithmetic the whole-array call would
+give its rows, so results are bit-identical to an unblocked run. BLAS
 threading (``tensordot``) is not touched.
 """
 
@@ -27,7 +30,7 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 import numpy as np
 
 _WORKERS = len(os.sched_getaffinity(0))
-# Arrays with fewer values stay on the caller's thread. Measured on 2
+# Arrays with fewer values are one call on the caller's thread. Measured on 2
 # cores with k=96: at 2**15 values the split is 1.2-1.6x slower than one
 # thread, and from 2**17 up local_aggregate, local_max, GE and IN are
 # all faster with it. But on a stream of 32-channel 48, 96 and 160
@@ -103,35 +106,36 @@ def round_rows(shape) -> int:
 
 
 def leading_map(fn, *arrays, out=None):
-    """Return fn(*arrays, out), computed in axis-0 blocks on the pool.
+    """Compute fn(*arrays, out) in axis-0 blocks and return out.
 
-    fn receives matching axis-0 blocks of ``arrays`` and of ``out``, and
-    writes its result into the out block and returns it; given out=None
-    it allocates and returns its own result. Blocked work writes into
-    ``out``, allocated as float64 of arrays[0]'s shape when not given.
+    fn receives matching axis-0 blocks of ``arrays`` and of ``out`` and
+    writes its result into the out block; its return value is not used.
+    out is allocated as float64 of arrays[0]'s shape when not given.
 
-    A block holds block_rows(arrays[0].shape) rows, but never so many,
-    beyond one, that there are fewer blocks than workers.
-
-    The whole call runs once on the caller's thread, with out as given,
-    when arrays[0] has fewer than three axes (axis 0 is then a row
-    axis), has fewer values than the size floor or a single row along
-    axis 0, when the process may use one core only, or when the caller
-    is itself a pool worker: a worker never waits on its own pool.
+    An arrays[0] of at least three axes (axis 0 is otherwise a row
+    axis) and at least the size floor of values is cut into blocks of
+    block_rows(arrays[0].shape) rows, but never so many rows, beyond
+    one, that there are fewer blocks than workers. The blocks run on
+    the pool when the process may use two cores or more, there are two
+    rows or more, and the caller is not itself a pool worker (a worker
+    never waits on its own pool); otherwise they run in order on the
+    caller's thread. A smaller array is one call on the caller's thread.
     """
     lead = arrays[0]
-    n = lead.shape[0]
-    if (min(_WORKERS, n) < 2 or lead.ndim < 3 or lead.size < _MIN_VALUES
-            or getattr(_thread, "is_worker", False)):
-        return fn(*arrays, out)
     if out is None:
         out = np.empty(lead.shape)
+    if lead.ndim < 3 or lead.size < _MIN_VALUES:
+        fn(*arrays, out)
+        return out
+    n = lead.shape[0]
     rows = max(1, min(block_rows(lead.shape), n // _WORKERS))
+    blocks = [[a[lo:lo + rows] for a in arrays + (out,)] for lo in range(0, n, rows)]
+    if min(_WORKERS, n) < 2 or getattr(_thread, "is_worker", False):
+        for block in blocks:
+            fn(*block)
+        return out
     pool = _executor()
-    futures = [
-        pool.submit(fn, *(a[lo:lo + rows] for a in arrays), out[lo:lo + rows])
-        for lo in range(0, n, rows)
-    ]
+    futures = [pool.submit(fn, *block) for block in blocks]
     wait(futures)
     for f in futures:
         f.result()  # re-raises a block's exception

@@ -284,9 +284,8 @@ def _global_rows(x: np.ndarray, apply, coefficients: tuple,
     the local output, |global - local| there, which also fills
     channel_max[lo:hi].
 
-    Rows are computed a round (``round_rows``) at a time into one reused
-    scratch array, one block per worker through leading_map, and handed
-    out a block at a time.
+    Each round of rows (``round_rows``) is computed into one reused
+    scratch array through leading_map.
     """
     scratch = np.empty((min(round_rows(x.shape), len(x)),) + x.shape[1:])
     arrays = (x,) + coefficients
@@ -301,18 +300,8 @@ def _global_rows(x: np.ndarray, apply, coefficients: tuple,
             np.subtract(d, loc, out=d)
             np.abs(d, out=d)
             np.max(d, axis=(-2, -1), out=cmax)
-            return d
 
-    start = end = 0  # the channels now in scratch
-
-    def rows(lo: int, hi: int) -> np.ndarray:
-        nonlocal start, end
-        if hi > end:
-            start, end = lo, min(lo + len(scratch), len(x))
-            leading_map(fn, *(a[start:end] for a in arrays), out=scratch[:end - start])
-        return scratch[lo - start:hi - start]
-
-    return rows
+    return lambda lo, hi: leading_map(fn, *(a[lo:hi] for a in arrays), out=scratch[:hi - lo])
 
 
 def _apply_at(x: np.ndarray, apply, coefficients: tuple, cy: int, cx: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import block_rows, leading_map
+from ._parallel import leading_map
 from .errors import OpShapeViolation, ShapeMismatch
 from .tensor import FeatureMap
 
@@ -165,22 +165,17 @@ def seam_metric(x: FeatureMap, plan: TilePlan) -> float:
     return float(seam / seam_n - other / other_n)
 
 
-def _gap_sums(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _gap_sums(x: np.ndarray, out: np.ndarray) -> None:
     """Per channel, the |diff| sum over each column gap, then over each
     row gap, into out of shape (C, (W-1) + (H-1)).
 
-    The diffs are taken a block of channels at a time. leading_map
-    already hands each pool thread at most one block, so this loop only
-    splits when the whole map runs on one thread (one core, or a map
-    under the size floor); no full-size diff is held there either.
+    seam_metric runs this through leading_map, so a map above the size
+    floor arrives a block of channels at a time, on the pool or in order
+    on one thread, and no full-size diff is held.
     """
     w1 = x.shape[2] - 1
-    rows = block_rows(x.shape)
-    for lo in range(0, x.shape[0], rows):
-        blk, o = x[lo:lo + rows], out[lo:lo + rows]
-        _abs_diff_sum(blk, 2, o[:, :w1])  # pair (j, j+1) across column gap j
-        _abs_diff_sum(blk, 1, o[:, w1:])
-    return out
+    _abs_diff_sum(x, 2, out[:, :w1])  # pair (j, j+1) across column gap j
+    _abs_diff_sum(x, 1, out[:, w1:])
 
 
 def _abs_diff_sum(x: np.ndarray, axis: int, out: np.ndarray) -> None:

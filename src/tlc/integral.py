@@ -24,14 +24,15 @@ E[x^2] - mean^2 does not cancel on a large offset.
 ``local_aggregate``, ``local_max`` and ``local_mean_var`` cut a map of
 at least 2**20 values along axis 0 into blocks of whole rows, at most
 2**19 values each unless one row is larger, and never fewer blocks than
-cores. The blocks run in order on one thread per core the process may
-use, each writing its part of one preallocated output; smaller maps,
-and calls made from those threads, stay on the calling thread. Results
-are bit-identical to a single-thread run. There is no setting for it,
-and BLAS threading is not touched. ``strided_local_mean`` takes its
-window means from ``local_aggregate`` on the stride-r grid, so they run
-in the same blocks, and its gather back to full size runs on the
-calling thread.
+cores (``_parallel.leading_map``). Each block writes its part of one
+preallocated output, so tables and scratch are block-sized. The blocks
+run on one thread per core the process may use or, on one core and in
+calls made from those threads, in order on the calling thread; a
+smaller map is one call. Results are bit-identical to an unblocked run.
+There is no setting for it, and BLAS threading is not touched.
+``strided_local_mean`` takes its window means from ``local_aggregate``
+on the stride-r grid, so they run in the same blocks, and its gather
+back to full size runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -115,11 +116,9 @@ def _same_view(a: np.ndarray, b: np.ndarray) -> bool:
             and a.shape == b.shape and a.strides == b.strides)
 
 
-def _aggregate(x: np.ndarray, k_h: int, k_w: int, out: np.ndarray | None) -> np.ndarray:
+def _aggregate(x: np.ndarray, k_h: int, k_w: int, out: np.ndarray) -> np.ndarray:
     h, w = x.shape[-2:]
     table = build_integral(x)
-    if out is None:
-        out = np.empty(x.shape)
     # The window sums land in the centre of the output itself, so the
     # edge replication only fills in the border.
     centre = window_sums(table, k_h, k_w, out=_centre(out, h - k_h + 1, w - k_w + 1, k_h, k_w))
@@ -221,10 +220,8 @@ def _max_lags(k: int) -> list[int]:
     return lags
 
 
-def _max(x: np.ndarray, k_h: int, k_w: int, out: np.ndarray | None) -> np.ndarray:
+def _max(x: np.ndarray, k_h: int, k_w: int, out: np.ndarray) -> np.ndarray:
     h, w = x.shape[-2:]
-    if out is None:
-        out = np.empty(x.shape)
     # Rows first: each of their steps is one np.maximum over whole rows,
     # and they shrink the map to its valid rows before the column steps.
     steps = [(lag, 0) for lag in _max_lags(k_h)] + [(0, lag) for lag in _max_lags(k_w)]

@@ -241,7 +241,7 @@ def _global_steps(kind: str, x: FeatureMap, p):
     # block-sized scratch, then repeated for each channel of the group.
     grouped = _grouped(x, p)
     mu, sd = np.empty((2, p.groups, 1, 1, 1))
-    leading_map(lambda g, m, out: _group_stats(g, None, p.eps, np.empty(g.shape), m, out)[1],
+    leading_map(lambda g, m, out: _group_stats(g, None, p.eps, np.empty(g.shape), m, out),
                 grouped, mu, out=sd)
     per_channel = grouped.shape[1]
     mu, sd = (np.repeat(a, per_channel, axis=0).reshape(-1, 1, 1) for a in (mu, sd))
@@ -258,10 +258,9 @@ def _forward(kind: str, x: FeatureMap, p, window: WindowSpec | None) -> FeatureM
     per_group = (p.groups, -1, 1, 1)
 
     def body(g, gamma, beta, out):
-        out = np.empty(g.shape) if out is None else out
         # The output block is the statistics' scratch until it is written.
         mu, sd = _group_stats(g, window, p.eps, out)
-        return _normalize(g, mu, sd, gamma, beta, out)
+        _normalize(g, mu, sd, gamma, beta, out)
 
     normed = leading_map(body, _grouped(x, p), p.gamma.reshape(per_group),
                          p.beta.reshape(per_group))

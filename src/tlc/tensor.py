@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import block_rows, leading_map
+from ._parallel import block_rows, leading_map, round_rows
 from .errors import (
     IoFailure,
     MalformedHeader,
@@ -190,32 +190,37 @@ def _write_rows(path, shape: tuple[int, int, int], rows) -> None:
     benchmark's tracer, which wraps every public function, counts its
     time in write_tensor.
 
-    rows is called once per block, in order, for consecutive blocks of
-    at most block_rows(shape) channels, so it can compute each block
-    into scratch of that many rows. Each block is converted to float32
-    into one reused buffer and written in order; a regular file is
-    rewritten in place, header last (see the module docstring). Raises
-    NonFiniteValue when a converted value is not finite and IoFailure
-    on any OS error; in a regular file either leaves the zeroed header.
+    rows is called once per round of round_rows(shape) channels, in
+    order, so it can compute a round into scratch of that many rows.
+    A round is a whole number of blocks of block_rows(shape) channels,
+    and each block is converted to float32 into one reused buffer and
+    written in order; a regular file is rewritten in place, header last
+    (see the module docstring). Raises NonFiniteValue when a converted
+    value is not finite and IoFailure on any OS error; in a regular file
+    either leaves the zeroed header.
     """
     c, h, w = shape
     step = block_rows(shape)
+    per_round = round_rows(shape)
     buf = np.empty((min(step, c), h, w), dtype="<f4")
     header = _HEADER.pack(MAGIC, VERSION, c, h, w)
     try:
         with open(path, "wb", opener=_open_without_truncating) as fh:
             in_place = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
             fh.write(bytes(len(header)) if in_place else header)
-            for lo in range(0, c, step):
-                block = buf[:min(step, c - lo)]
-                with np.errstate(over="ignore"):  # overflow is refused below
-                    np.copyto(block, rows(lo, lo + len(block)))
-                if not np.isfinite(block).all():
-                    raise NonFiniteValue(
-                        f"{path}: a value in channels {lo}-{lo + len(block) - 1} "
-                        f"is beyond float32 range"
-                    )
-                fh.write(block)
+            for start in range(0, c, per_round):
+                end = min(start + per_round, c)
+                computed = rows(start, end)
+                for lo in range(start, end, step):
+                    block = buf[:min(step, end - lo)]
+                    with np.errstate(over="ignore"):  # overflow is refused below
+                        np.copyto(block, computed[lo - start:lo - start + len(block)])
+                    if not np.isfinite(block).all():
+                        raise NonFiniteValue(
+                            f"{path}: a value in channels {lo}-{lo + len(block) - 1} "
+                            f"is beyond float32 range"
+                        )
+                    fh.write(block)
             if in_place:
                 fh.truncate()
                 fh.seek(0)

@@ -919,3 +919,49 @@ def test_unwritable_csv_or_outdir_is_an_io_error(tmp_path, rng, capsys, monkeypa
     monkeypatch.setattr(cli, "brute_force_local_mean", lambda x, w: x)
     assert main([command] + argv) == 2
     assert capsys.readouterr().err.startswith("io error: ")
+
+
+def _tile_starts(n, k, s):
+    starts = list(range(0, n - k + 1, s))
+    return starts if starts[-1] == n - k else starts + [n - k]
+
+
+def _brute_seam(x, tiles, k_h, k_w):
+    """Mean |diff| over adjacent pairs across a tile edge minus the mean
+    over all other adjacent pairs, pair by pair."""
+    c, h, w = x.shape
+    cut_cols = {b for _, col in tiles for b in (col, col + k_w) if 1 <= b <= w - 1}
+    cut_rows = {b for row, _ in tiles for b in (row, row + k_h) if 1 <= b <= h - 1}
+    seam, other = [], []
+    for i in range(h):
+        for j in range(w):
+            if j + 1 < w:
+                (seam if j + 1 in cut_cols else other).extend(abs(x[:, i, j + 1] - x[:, i, j]))
+            if i + 1 < h:
+                (seam if i + 1 in cut_rows else other).extend(abs(x[:, i + 1, j] - x[:, i, j]))
+    return sum(seam) / len(seam) - sum(other) / len(other)
+
+
+def test_fuse_mean_broadcast_is_the_overlap_average_of_tile_means(tmp_path, rng):
+    arr = rng.standard_normal((3, 11, 13)) * rng.uniform(0.5, 2.0, (3, 1, 1)) + 4.0
+    inp = save_map(tmp_path, arr)
+    x = read_tensor(inp).data
+    outdir = tmp_path / "fuse"
+    assert main(["fuse", "--input", str(inp), "--transform", "mean-broadcast",
+                 "--k", "5", "6", "--stride", "3", "4", "--outdir", str(outdir)]) == 0
+    tiles = [(r, c) for r in _tile_starts(11, 5, 3) for c in _tile_starts(13, 6, 4)]
+    want = np.empty_like(x)
+    for i in range(11):
+        for j in range(13):
+            means = [x[:, r:r + 5, c:c + 6].mean(axis=(1, 2)) for r, c in tiles
+                     if r <= i < r + 5 and c <= j < c + 6]
+            want[:, i, j] = np.mean(means, axis=0)
+    fused = read_tensor(outdir / "fused.tlct").data
+    assert np.max(np.abs(fused - want)) <= 1e-6 * np.abs(want).max()
+    report = read_report(outdir / "seam.csv")
+    assert list(report) == ["input", "fused"]
+    assert float(report["input"]) == pytest.approx(_brute_seam(x, tiles, 5, 6), rel=1e-9)
+    assert float(report["fused"]) == pytest.approx(_brute_seam(want, tiles, 5, 6), rel=1e-9)
+    # Tile means are constant inside a tile, so the fused map changes
+    # only across tile edges.
+    assert float(report["fused"]) > 0

@@ -6,16 +6,18 @@ and setting the worker count; a counting pool checks that it happened.
 """
 
 import csv
+import math
 import multiprocessing
 import struct
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import tlc.integral
-from tlc import _parallel, modules
+from tlc import _parallel, fusion, modules, tensor
 from tlc.cli import main as cli_main
 from tlc.errors import NonFiniteValue, TruncatedPayload
 from tlc.integral import (
@@ -524,3 +526,165 @@ def test_global_coefficients_and_blocked_apply_equal_the_forward(
     assert _parallel.leading_map(apply, x.data, *coefficients, out=got) is got
     assert np.array_equal(got, want)
     assert (recording.tasks > 0) == (blocks > 0)
+
+
+# --- one block rule: blocks in order on the calling thread -------------------
+#
+# Above the size floor a map is cut into blocks whether or not the pool
+# can run them. With one worker, or inside a pool task (a worker never
+# waits on its own pool), the blocks run in order on the calling thread.
+
+
+@pytest.fixture(params=["one worker", "in a pool task"])
+def unpooled(request, monkeypatch, pool):
+    """(run, workers): run(call) calls call() where leading_map may not use
+    the pool; workers is the worker count leading_map sees there."""
+    if request.param == "one worker":
+        monkeypatch.setattr(_parallel, "_WORKERS", 1)
+        return (lambda call: call()), 1
+    monkeypatch.setattr(_parallel, "_WORKERS", 2)
+    real = pool.pool  # the counting pool counts only leading_map's own submissions
+    return (lambda call: real.submit(call).result()), 2
+
+
+# (shape, rows that fit the block size, {workers: rows of each block}):
+# rows that do not divide C, one row per block, a block size above one
+# worker's share, a single row and a 4-D map.
+IN_ORDER = [
+    ((7, 13, 17), 2, {1: [2, 2, 2, 1], 2: [2, 2, 2, 1]}),
+    ((7, 13, 17), 1, {1: [1] * 7, 2: [1] * 7}),
+    ((7, 13, 17), 100, {1: [7], 2: [3, 3, 1]}),
+    ((1, 13, 17), 1, {1: [1], 2: [1]}),
+    ((5, 2, 13, 17), 2, {1: [2, 2, 1], 2: [2, 2, 1]}),
+]
+
+
+@pytest.mark.parametrize("shape,rows,blocks", IN_ORDER, ids=str)
+def test_blocks_run_in_order_on_the_calling_thread(monkeypatch, pool, unpooled, shape, rows,
+                                                   blocks):
+    run, workers = unpooled
+    monkeypatch.setattr(_parallel, "_MIN_VALUES", 0)
+    monkeypatch.setattr(_parallel, "_BLOCK_VALUES", rows * math.prod(shape[1:]))
+    # Each row holds its own index, so a block shows where it starts.
+    x = np.broadcast_to(np.arange(shape[0], dtype=float).reshape((-1,) + (1,) * (len(shape) - 1)),
+                        shape)
+    seen = []
+
+    def fn(xs, out):
+        seen.append((int(xs.flat[0]), len(xs), len(out), threading.get_ident()))
+        out[...] = xs
+
+    def call():
+        return threading.get_ident(), _parallel.leading_map(fn, x)
+
+    caller, got = run(call)
+    starts = np.cumsum([0] + blocks[workers][:-1]).tolist()
+    assert seen == [(lo, n, n, caller) for lo, n in zip(starts, blocks[workers])]
+    assert got.dtype == np.float64 and np.array_equal(got, x)
+    assert pool.tasks == 0
+
+
+@pytest.mark.parametrize("shape", [(7, 13, 17), (13, 17), (17,)], ids=str)
+def test_map_under_the_floor_is_one_call_with_an_allocated_out(monkeypatch, pool, unpooled,
+                                                              shape):
+    run, _ = unpooled
+    monkeypatch.setattr(_parallel, "_BLOCK_VALUES", 1)
+    x = _map(shape)
+    seen = []
+
+    def fn(xs, out):
+        seen.append((xs.shape, out.shape, out.dtype))
+        np.negative(xs, out=out)
+
+    got = run(lambda: _parallel.leading_map(fn, x))
+    assert seen == [(shape, shape, np.float64)]
+    assert np.array_equal(got, -x)
+    assert pool.tasks == 0
+
+
+def unblocked_then_in_order(monkeypatch, run, call, rows_of):
+    """call() as one unblocked call, then through run with blocks of
+    rows_of(...) rows, where leading_map may not use the pool."""
+    monkeypatch.setattr(_parallel, "_MIN_VALUES", float("inf"))
+    unblocked = call()
+    monkeypatch.setattr(_parallel, "_MIN_VALUES", 0)
+    monkeypatch.setattr(_parallel, "_BLOCK_VALUES", rows_of)
+    return unblocked, run(call)
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS) + ["strided_local_mean"])
+@pytest.mark.parametrize("shape", [(7, 13, 17), (5, 2, 13, 17)], ids=str)
+@pytest.mark.parametrize("w", WINDOWS[1:], ids=str)
+def test_in_order_kernel_equals_unblocked(monkeypatch, pool, unpooled, name, shape, w):
+    run, _ = unpooled
+    x = _map(shape)
+    kernel = KERNELS.get(name, lambda x, w: strided_local_mean(x, w, 2))
+    unblocked, blocked = unblocked_then_in_order(monkeypatch, run, lambda: kernel(x, w),
+                                                 2 * 13 * 17)
+    assert_same(unblocked, blocked)
+    assert pool.tasks == 0
+
+
+@pytest.mark.parametrize("module", ["se", "cbam", "gn", "in", "ge"])
+@pytest.mark.parametrize("w", [None, WindowSpec(1, 1), WindowSpec(4, 7), WindowSpec(50, 50)],
+                         ids=str)
+def test_in_order_module_equals_unblocked(monkeypatch, pool, unpooled, module, w):
+    run, _ = unpooled
+    x = FeatureMap(_map((7, 13, 17)))
+    forward = _forwards(7)[module]
+    unblocked, blocked = unblocked_then_in_order(monkeypatch, run, lambda: forward(x, w).data,
+                                                 13 * 17)
+    assert_same(unblocked, blocked)
+    assert pool.tasks == 0
+
+
+def test_in_order_seam_metric_equals_unblocked(monkeypatch, pool, unpooled):
+    run, _ = unpooled
+    data = _map((7, 24, 31))
+    data[::2, ::3] *= 4.0  # channels and rows of different scales
+    x = FeatureMap(data)
+    plan = fusion.plan_tiles(24, 31, (8, 10), (5, 7))
+    unblocked, blocked = unblocked_then_in_order(monkeypatch, run,
+                                                 lambda: fusion.seam_metric(x, plan), 24 * 31)
+    assert np.float64(unblocked).tobytes() == np.float64(blocked).tobytes()
+    assert pool.tasks == 0
+
+
+@pytest.mark.parametrize("channel", [None, 0, 3, 6])
+def test_in_order_feature_map_check_equals_unblocked(monkeypatch, pool, unpooled, channel):
+    run, _ = unpooled
+    x = _map((7, 9, 11))
+    if channel is not None:
+        x[channel, 4, 5] = np.nan
+
+    def check():
+        flags = _parallel.leading_map(tensor._finite_channels, x,
+                                      out=np.empty(len(x), dtype=bool))
+        try:
+            FeatureMap(x)
+            raised = False
+        except NonFiniteValue:
+            raised = True
+        return flags, raised
+
+    (want, want_raised), (got, got_raised) = unblocked_then_in_order(monkeypatch, run, check,
+                                                                     2 * 9 * 11)
+    assert got.tobytes() == want.tobytes()
+    assert got_raised == want_raised == (channel is not None)
+    assert pool.tasks == 0
+
+
+@pytest.mark.parametrize("kernel", [local_aggregate, local_max], ids=lambda f: f.__name__)
+def test_one_worker_kernel_holds_block_sized_temporaries(monkeypatch, kernel):
+    # 32 x 256 x 256 is 16.8 MB, cut into four blocks of 8 channels; a
+    # block's summed-area table or running-max scratch is 4.2 MB. Run as
+    # one call, the table alone was a second map: the peak read 34.7 MB.
+    monkeypatch.setattr(_parallel, "_WORKERS", 1)
+    x = np.random.default_rng(3).standard_normal((32, 256, 256))
+    tracemalloc.start()
+    try:
+        out = kernel(x, WindowSpec(32, 32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 6.0e6
