@@ -1,8 +1,8 @@
 """Leading-axis blocked map for the windowed kernels, the module bodies,
-the seam metric, the FeatureMap check and convert's streamed rounds, the
-block size that TLCT I/O buffers share, the round size in which
-``convert`` computes the global output it streams to disk, and an ordered
-map over independent tasks (the shift experiment's full maps).
+the seam metric, the FeatureMap check and the TLCT writer's rounds, the
+block size that TLCT I/O buffers share, the round size in which the TLCT
+writer computes a payload it streams to disk (convert's outputs), and an
+ordered map over independent tasks (the shift experiment's full maps).
 
 One rule cuts every computed map into blocks: an array of shape
 (N, ..., H, W) of at least 2**20 values is cut along axis 0 into
@@ -96,10 +96,11 @@ def block_rows(shape) -> int:
 
 def round_rows(shape) -> int:
     """Rows of axis 0 in one round of a stream over an array of this
-    shape, for a caller that computes a stream's rows a round at a time
-    into reused scratch: a whole number of blocks, at least one per
-    worker and at least the size floor (or the whole array), so that
-    leading_map runs every round on all the workers."""
+    shape, for the TLCT writer (``tensor._write_rows``), which computes
+    a stream's rows a round at a time into reused scratch: a whole
+    number of blocks, at least one per worker and at least the size
+    floor (or the whole array), so that leading_map runs every round on
+    all the workers."""
     rows = block_rows(shape)
     floor = min(_MIN_VALUES / math.prod(shape[1:]), shape[0])
     return rows * math.ceil(max(_WORKERS * rows, floor) / rows)

@@ -33,7 +33,6 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, demo, fusion, modules
-from ._parallel import leading_map, round_rows
 from .errors import DataError, EmptyWindowSample, IoFailure, TlcError
 from .integral import (
     brute_force_local_mean,
@@ -236,29 +235,36 @@ def cmd_convert(args) -> int:
         else:
             params = load_norm_params(manifest, base, kind)
 
-    # The global output is never a full map: it is computed a block at a
-    # time from the coefficients while global.tlct and absdiff.tlct are
-    # written. A window that covers the map makes the local output the
-    # global one (see tlc.modules), so local.tlct is then written from
-    # the same blocks, |global - local| is zero, and the module runs once.
-    steps = modules._global_steps(kind, x, params)
+    # The global output is never a full map: the TLCT writer runs the
+    # apply step a round of channels at a time as it writes global.tlct,
+    # and |global - local| as it writes absdiff.tlct. A window that covers
+    # the map makes the local output the global one (see tlc.modules), so
+    # local.tlct is then written from the apply step too, absdiff.tlct is
+    # zero, and the module runs once.
+    apply, coefficients = modules._global_steps(kind, x, params)
     covering = modules._is_global(x, window)
     out_local = None if covering else _module_forward(kind, x, params, window)
 
     outdir = _outdir(args.outdir)
-    shape = x.data.shape
-    _write_rows(outdir / "global.tlct", shape, _global_rows(x.data, *steps))
+    _write_rows(outdir / "global.tlct", apply, x.data, *coefficients)
     channel_max = np.zeros(x.channels)
     if covering:
-        _write_rows(outdir / "local.tlct", shape, _global_rows(x.data, *steps))
-        zeros = np.zeros(shape[1:])
-        _write_rows(outdir / "absdiff.tlct", shape,
-                    lambda lo, hi: np.broadcast_to(zeros, (hi - lo,) + zeros.shape))
-        local_at = functools.partial(_apply_at, x.data, *steps)
+        _write_rows(outdir / "local.tlct", apply, x.data, *coefficients)
+        _write_rows(outdir / "absdiff.tlct", None, np.broadcast_to(0.0, x.data.shape))
+        local_at = functools.partial(_apply_at, x.data, apply, coefficients)
     else:
         write_tensor(out_local, outdir / "local.tlct")
-        _write_rows(outdir / "absdiff.tlct", shape,
-                    _global_rows(x.data, *steps, out_local.data, channel_max))
+
+        def absdiff(*blocks):
+            # Also fills channel_max with each channel's largest difference.
+            *inputs, loc, cmax, out = blocks
+            d = apply(*inputs, out)
+            np.subtract(d, loc, out=d)
+            np.abs(d, out=d)
+            np.max(d, axis=(-2, -1), out=cmax)
+
+        _write_rows(outdir / "absdiff.tlct", absdiff, x.data, *coefficients,
+                    out_local.data, channel_max)
         local_at = lambda cy, cx: out_local.data[:, cy, cx]
 
     macs = modules.module_macs(kind, x.channels, x.height, x.width, ratio)
@@ -275,33 +281,6 @@ def cmd_convert(args) -> int:
     rows.extend(_crop_law_spot_checks(kind, x, params, window, local_at))
     _write_csv(outdir / "report.csv", ["key", "value"], rows)
     return EXIT_OK
-
-
-def _global_rows(x: np.ndarray, apply, coefficients: tuple,
-                 local: np.ndarray | None = None, channel_max: np.ndarray | None = None):
-    """rows(lo, hi) for tensor._write_rows: the global output over
-    channels lo:hi, the apply step on x and the coefficients or, given
-    the local output, |global - local| there, which also fills
-    channel_max[lo:hi].
-
-    Each round of rows (``round_rows``) is computed into one reused
-    scratch array through leading_map.
-    """
-    scratch = np.empty((min(round_rows(x.shape), len(x)),) + x.shape[1:])
-    arrays = (x,) + coefficients
-    if local is None:
-        fn = apply
-    else:
-        arrays += (local, channel_max)
-
-        def fn(*blocks):
-            *inputs, loc, cmax, out = blocks
-            d = apply(*inputs, out)
-            np.subtract(d, loc, out=d)
-            np.abs(d, out=d)
-            np.max(d, axis=(-2, -1), out=cmax)
-
-    return lambda lo, hi: leading_map(fn, *(a[lo:hi] for a in arrays), out=scratch[:hi - lo])
 
 
 def _apply_at(x: np.ndarray, apply, coefficients: tuple, cy: int, cx: int) -> np.ndarray:

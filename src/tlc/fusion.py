@@ -138,8 +138,8 @@ def seam_metric(x: FeatureMap, plan: TilePlan) -> float:
     h, w = plan.shape
     k_h, k_w = plan.window
     # Interior tile edges: the gap between columns c-1 and c (rows r-1, r).
-    edge_cols = np.zeros(w - 1, dtype=bool) if w > 1 else np.zeros(0, dtype=bool)
-    edge_rows = np.zeros(h - 1, dtype=bool) if h > 1 else np.zeros(0, dtype=bool)
+    edge_cols = np.zeros(w - 1, dtype=bool)
+    edge_rows = np.zeros(h - 1, dtype=bool)
     for r, c in plan.placements:
         for b in (c, c + k_w):
             if 1 <= b <= w - 1:

@@ -53,18 +53,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.divide(1.0, z, out=z)
 
 
-def _gate(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """x * sigmoid(z), written over the full-size (local-mode) logits z
-    that the caller has just computed.
-
-    The sigmoid and the product both run in z's own memory: on a
-    full-resolution map each full-size temporary costs more than the
-    arithmetic it holds. z must therefore be an array no one else sees;
-    x is only read. The work runs per channel slice.
-    """
-    return leading_map(_sigmoid_times, x, z, out=z)
-
-
 def _sigmoid_times(x: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.multiply(x, _sigmoid(z), out=out)
 
@@ -197,13 +185,10 @@ def _grouped(x: FeatureMap, p: NormParams) -> np.ndarray:
 
 # --- both modes ---------------------------------------------------------------
 #
-# Apply steps of global mode. Each takes a block of channels of x, the
-# same rows of the (C, 1, 1) coefficients, and the block's output (None
-# allocates it).
-
-
-def _scale(x: np.ndarray, gate: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    return np.multiply(x, gate, out=out)
+# Apply steps of global mode: np.multiply by the gate for SE, CBAM and
+# GE, _normalize for IN/GN. Each takes a block of channels of x, the same
+# rows of the (C, 1, 1) coefficients, and the block's output (None
+# allocates it), the protocol of leading_map.
 
 
 def _normalize(x: np.ndarray, mu: np.ndarray, sd: np.ndarray, gamma: np.ndarray,
@@ -236,7 +221,7 @@ def _global_steps(kind: str, x: FeatureMap, p):
     step takes. kind is a ``tlc convert --module`` name; "in" and "gn"
     both run the group norm of p.groups."""
     if kind in _LOGITS:
-        return _scale, (_sigmoid(_LOGITS[kind](x, p, None)),)
+        return np.multiply, (_sigmoid(_LOGITS[kind](x, p, None)),)
     # Each group's statistics, one block of groups per core with a
     # block-sized scratch, then repeated for each channel of the group.
     grouped = _grouped(x, p)
@@ -254,7 +239,10 @@ def _forward(kind: str, x: FeatureMap, p, window: WindowSpec | None) -> FeatureM
         apply, coefficients = _global_steps(kind, x, p)
         return FeatureMap(leading_map(apply, x.data, *coefficients))
     if kind in _LOGITS:
-        return FeatureMap(_gate(x.data, _LOGITS[kind](x, p, window)))
+        # The sigmoid and the product run in the logits' own memory: on a
+        # full-resolution map each full-size temporary costs more than its arithmetic.
+        z = _LOGITS[kind](x, p, window)
+        return FeatureMap(leading_map(_sigmoid_times, x.data, z, out=z))
     per_group = (p.groups, -1, 1, 1)
 
     def body(g, gamma, beta, out):

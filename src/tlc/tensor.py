@@ -10,7 +10,9 @@ File format (little-endian):
 The payload never exists as one float32 array: a read or a write goes
 through one float32 buffer of one block of channels (the block size of
 ``_parallel``), reused from block to block. A read checks the header
-and the file's size first.
+and the file's size first. A write stores a map, or a leading_map body's
+result computed a round of channels at a time into one reused float64
+scratch, so that convert's global outputs never exist as full maps.
 
 A write to a regular file rewrites it in place, header last: it opens
 the file without truncating it, zeroes the header, writes the payload
@@ -183,26 +185,28 @@ def _open_without_truncating(path, flags):
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
-def _write_rows(path, shape: tuple[int, int, int], rows) -> None:
-    """Write a TLCT file of the given (C, H, W) shape whose channels
-    lo:hi are the array rows(lo, hi). The one TLCT writer, behind
-    write_tensor and convert's absdiff output; private, so that the
-    benchmark's tracer, which wraps every public function, counts its
-    time in write_tensor.
+def _write_rows(path, fn, *arrays) -> None:
+    """Write a TLCT file of arrays[0]'s (C, H, W) shape whose payload is
+    leading_map(fn, *arrays), or arrays[0] itself when fn is None. The
+    one TLCT writer, behind write_tensor and convert's outputs; private,
+    so that the benchmark's tracer, which wraps every public function,
+    counts its time in write_tensor.
 
-    rows is called once per round of round_rows(shape) channels, in
-    order, so it can compute a round into scratch of that many rows.
-    A round is a whole number of blocks of block_rows(shape) channels,
-    and each block is converted to float32 into one reused buffer and
-    written in order; a regular file is rewritten in place, header last
-    (see the module docstring). Raises NonFiniteValue when a converted
-    value is not finite and IoFailure on any OS error; in a regular file
-    either leaves the zeroed header.
+    fn takes the leading_map protocol, fn(*blocks, out). It runs one
+    round of round_rows(shape) channels at a time, in order, into one
+    reused scratch array of that many rows. A round is a whole number of
+    blocks of block_rows(shape) channels, and each block is converted to
+    float32 into one reused buffer and written in order; a regular file
+    is rewritten in place, header last (see the module docstring).
+    Raises NonFiniteValue when a converted value is not finite and
+    IoFailure on any OS error; in a regular file either leaves the
+    zeroed header.
     """
-    c, h, w = shape
+    c, h, w = shape = arrays[0].shape
     step = block_rows(shape)
     per_round = round_rows(shape)
     buf = np.empty((min(step, c), h, w), dtype="<f4")
+    scratch = None if fn is None else np.empty((min(per_round, c), h, w))
     header = _HEADER.pack(MAGIC, VERSION, c, h, w)
     try:
         with open(path, "wb", opener=_open_without_truncating) as fh:
@@ -210,7 +214,9 @@ def _write_rows(path, shape: tuple[int, int, int], rows) -> None:
             fh.write(bytes(len(header)) if in_place else header)
             for start in range(0, c, per_round):
                 end = min(start + per_round, c)
-                computed = rows(start, end)
+                rows = [a[start:end] for a in arrays]
+                computed = (rows[0] if fn is None
+                            else leading_map(fn, *rows, out=scratch[:end - start]))
                 for lo in range(start, end, step):
                     block = buf[:min(step, end - lo)]
                     with np.errstate(over="ignore"):  # overflow is refused below
@@ -234,8 +240,7 @@ def write_tensor(fmap: FeatureMap, path) -> None:
 
     Raises NonFiniteValue if a value is beyond float32 range.
     """
-    data = fmap.data
-    _write_rows(path, data.shape, lambda lo, hi: data[lo:hi])
+    _write_rows(path, None, fmap.data)
 
 
 def psnr(reference: FeatureMap, candidate: FeatureMap, peak: float) -> MetricReport:

@@ -328,8 +328,8 @@ def test_gram_attention_matches_q_normalized_oracle(c, offset, zeros, temperatur
 @pytest.mark.parametrize("workers", [1, 2])
 def test_seam_metric_in_one_channel_blocks_matches_concatenation_oracle(monkeypatch, plan, seed,
                                                                          workers):
-    # Two workers run the blocks through leading_map on the pool; one
-    # runs them in _gap_sums' own loop on the caller's thread.
+    # Two workers run the blocks through leading_map on the pool; with
+    # one, leading_map runs them in order on the caller's thread.
     monkeypatch.setattr(_parallel, "_MIN_VALUES", 0)
     monkeypatch.setattr(_parallel, "_WORKERS", workers)
     monkeypatch.setattr(_parallel, "_BLOCK_VALUES", 1)

@@ -459,13 +459,13 @@ def _manifests(d, c):
     (d / "in.params").write_text("norm.gamma=gamma.tlct\nnorm.beta=beta.tlct\n")
 
 
-def _convert_all(d, outdir):
-    """Every module's convert output files, by name, as bytes."""
+def _convert_all(d, outdir, k):
+    """Every module's convert output files at window k, by name, as bytes."""
     files = {}
     for module, params in (("se", "se"), ("cbam", "se"), ("gn", "gn"), ("in", "in"),
                            ("ge", None)):
         argv = ["convert", "--module", module, "--input", str(d / "x.tlct"),
-                "--outdir", str(outdir / module), "--k", "4", "7"]
+                "--outdir", str(outdir / module), "--k", *map(str, k)]
         if params:
             argv += ["--params", str(d / f"{params}.params")]
         assert cli_main(argv) == 0
@@ -474,19 +474,28 @@ def _convert_all(d, outdir):
     return files
 
 
+@pytest.mark.parametrize("k", [(4, 7), (19, 23)], ids=["local", "covering"])
 def test_convert_outputs_are_byte_identical_serial_and_in_blocks(monkeypatch, tmp_path,
-                                                                 recording):
+                                                                 recording, k):
+    # One-channel blocks stream the 6 channels in 3 rounds of 2. With a
+    # covering window local.tlct then comes from the apply step, and
+    # absdiff.tlct from a zero-stride array.
     _manifests(tmp_path, 6)
     write_tensor(FeatureMap(_map((6, 19, 23))), tmp_path / "x.tlct")
     monkeypatch.setattr(_parallel, "_MIN_VALUES", float("inf"))
-    serial = _convert_all(tmp_path, tmp_path / "serial")
+    serial = _convert_all(tmp_path, tmp_path / "serial", k)
     assert recording.tasks == 0
     monkeypatch.setattr(_parallel, "_MIN_VALUES", 0)
     monkeypatch.setattr(_parallel, "_WORKERS", 2)
     monkeypatch.setattr(_parallel, "_BLOCK_VALUES", 19 * 23)
-    blocked = _convert_all(tmp_path, tmp_path / "blocked")
+    blocked = _convert_all(tmp_path, tmp_path / "blocked", k)
     assert recording.tasks > 0
     assert len(serial) == 5 * 4 and blocked == serial
+    if k == (19, 23):
+        for module in ("se", "cbam", "gn", "in", "ge"):
+            assert blocked[f"{module}/local.tlct"] == blocked[f"{module}/global.tlct"]
+            absdiff = read_tensor(tmp_path / "blocked" / module / "absdiff.tlct").data
+            assert not absdiff.any()
 
 
 # --- global mode: coefficients, then the apply step in blocks ---------------
