@@ -10,20 +10,32 @@ contiguous blocks of whole rows of a few megabytes each, never fewer
 blocks than cores. The blocks run on one shared thread pool with one
 thread per core the process may run on or, on one core and inside a
 pool thread, in order on the calling thread. A block's temporaries are
-then a few megabytes too, and are reused from one block to the next,
-where full-size temporaries would stream every step through memory and
-fault in fresh pages: on one core, a 64x512x512 convert peaked at
-392 MB of RSS instead of 763 MB. NumPy releases the interpreter lock
-inside its loops, so pooled blocks compute at the same time. Every
-block goes through exactly the arithmetic the whole-array call would
-give its rows, so results are bit-identical to an unblocked run. BLAS
-threading (``tensordot``) is not touched.
+then a few megabytes too, where full-size temporaries would stream
+every step through memory and fault in fresh pages: on one core, a
+64x512x512 convert peaked at 392 MB of RSS instead of 763 MB.
+
+A body declares the temporaries it needs, and leading_map allocates
+them on the calling thread, one set per block that can run at once,
+each set sized for the largest block; a block borrows a free set, so
+the bodies allocate nothing of a block's size on the pool. Memory that
+a pool thread allocates and frees goes back to that thread's own
+malloc arena, which keeps it: with the temporaries allocated in the
+tasks, the fullres-convert benchmark peaked at 429.6 MB of RSS on 2
+cores, and with them from the calling thread at 393.3 MB. The sets
+live for one call only.
+
+NumPy releases the interpreter lock inside its loops, so pooled blocks
+compute at the same time. Every block goes through exactly the
+arithmetic the whole-array call would give its rows, so results are
+bit-identical to an unblocked run. BLAS threading (``tensordot``) is
+not touched.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import queue
 import threading
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
@@ -34,11 +46,12 @@ _WORKERS = len(os.sched_getaffinity(0))
 # cores with k=96: at 2**15 values the split is 1.2-1.6x slower than one
 # thread, and from 2**17 up local_aggregate, local_max, GE and IN are
 # all faster with it. But on a stream of 32-channel 48, 96 and 160
-# square crops, splitting every map raised the peak RSS from 107 to
-# 127 MB, and splitting from 2**19 values (the 160 crops only) to 128 MB:
-# each thread allocates from its own malloc arena (with one arena
-# forced, splitting every map peaked at 109 MB). At 2**20 all three stay
-# on one thread and the peak stays at 107 MB.
+# square crops (the crop-stream benchmark), splitting from 2**17 values
+# raised the peak RSS from 86.8 to 107.3 MB while the bodies allocated
+# their temporaries on the pool threads, each of which keeps what it
+# frees in its own malloc arena. With the temporaries from the calling
+# thread it peaked at 88.6-88.7 MB, but the stream was no faster in 3
+# runs (178-216 ms a cycle against a median of 174 at 2**20).
 _MIN_VALUES = 1 << 20
 # Most values in one block; a row of axis 0 larger than this is a block
 # of its own. Measured on 2 cores with 2 MB of L2 each, as the sum of the
@@ -106,12 +119,23 @@ def round_rows(shape) -> int:
     return rows * math.ceil(max(_WORKERS * rows, floor) / rows)
 
 
-def leading_map(fn, *arrays, out=None):
+def leading_map(fn, *arrays, out=None, scratch=None):
     """Compute fn(*arrays, out) in axis-0 blocks and return out.
 
     fn receives matching axis-0 blocks of ``arrays`` and of ``out`` and
     writes its result into the out block; its return value is not used.
     out is allocated as float64 of arrays[0]'s shape when not given.
+
+    scratch, when given, maps the shape of a block of arrays[0] to the
+    (shape, dtype) of each temporary fn needs for that block, and fn
+    then receives those temporaries after the out block: fn(*blocks,
+    out, *temporaries). Their contents on entry are undefined. Every
+    temporary of a blocked call has the block's rows along axis 0. They
+    are allocated here, on the calling thread, one set for each block
+    that can run at once, each sized for the largest block, and a block
+    borrows a free set for as long as fn runs on it; so fn need
+    allocate nothing of a block's size itself. The sets are freed when
+    the call returns.
 
     An arrays[0] of at least three axes (axis 0 is otherwise a row
     axis) and at least the size floor of values is cut into blocks of
@@ -120,27 +144,54 @@ def leading_map(fn, *arrays, out=None):
     the pool when the process may use two cores or more, there are two
     rows or more, and the caller is not itself a pool worker (a worker
     never waits on its own pool); otherwise they run in order on the
-    caller's thread. A smaller array is one call on the caller's thread.
+    caller's thread with one set of temporaries. A smaller array is one
+    call on the caller's thread.
     """
     lead = arrays[0]
     if out is None:
         out = np.empty(lead.shape)
     if lead.ndim < 3 or lead.size < _MIN_VALUES:
-        fn(*arrays, out)
+        fn(*arrays, out, *_temporaries(scratch, lead.shape))
         return out
     n = lead.shape[0]
     rows = max(1, min(block_rows(lead.shape), n // _WORKERS))
     blocks = [[a[lo:lo + rows] for a in arrays + (out,)] for lo in range(0, n, rows)]
-    if min(_WORKERS, n) < 2 or getattr(_thread, "is_worker", False):
+    pooled = min(_WORKERS, n) >= 2 and not getattr(_thread, "is_worker", False)
+    sets = min(_WORKERS, len(blocks)) if pooled else 1
+    # All sets of one temporary are one array, so that a large one is
+    # given back to the operating system when it is freed.
+    stacked = _temporaries(scratch, (rows,) + lead.shape[1:], (sets,))
+    free = queue.SimpleQueue()
+    for i in range(sets):
+        free.put([t[i] for t in stacked])
+
+    def run(*block):
+        # A pool with more threads than sets makes a task wait for a set
+        # that a running task gives back.
+        borrowed = free.get()
+        try:
+            fn(*block, *(t[:len(block[0])] for t in borrowed))
+        finally:
+            free.put(borrowed)
+
+    if not pooled:
         for block in blocks:
-            fn(*block)
+            run(*block)
         return out
     pool = _executor()
-    futures = [pool.submit(fn, *block) for block in blocks]
+    futures = [pool.submit(run, *block) for block in blocks]
     wait(futures)
     for f in futures:
         f.result()  # re-raises a block's exception
     return out
+
+
+def _temporaries(scratch, shape, sets=()) -> list:
+    """The temporaries scratch declares for a block of this shape, each
+    with the leading axes sets (one per set)."""
+    if scratch is None:
+        return []
+    return [np.empty(sets + s, dtype=d) for s, d in scratch(shape)]
 
 
 def ordered_map(fn, items) -> list:

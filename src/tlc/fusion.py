@@ -152,8 +152,8 @@ def seam_metric(x: FeatureMap, plan: TilePlan) -> float:
     # is, so per-gap sums of |diff| and per-gap pair counts give both
     # means without gathering the pairs.
     n_ch = x.channels
-    sums = leading_map(_gap_sums, x.data,
-                       out=np.empty((n_ch, (w - 1) + (h - 1)))).sum(axis=0)
+    sums = leading_map(_gap_sums, x.data, out=np.empty((n_ch, (w - 1) + (h - 1))),
+                       scratch=lambda s: [(s, np.float64)]).sum(axis=0)
     col_sums, row_sums = sums[:w - 1], sums[w - 1:]
     n_seam_cols, n_seam_rows = int(edge_cols.sum()), int(edge_rows.sum())
     seam_n = n_ch * (h * n_seam_cols + w * n_seam_rows)
@@ -165,21 +165,29 @@ def seam_metric(x: FeatureMap, plan: TilePlan) -> float:
     return float(seam / seam_n - other / other_n)
 
 
-def _gap_sums(x: np.ndarray, out: np.ndarray) -> None:
+def _gap_sums(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     """Per channel, the |diff| sum over each column gap, then over each
     row gap, into out of shape (C, (W-1) + (H-1)).
 
     seam_metric runs this through leading_map, so a map above the size
     floor arrives a block of channels at a time, on the pool or in order
-    on one thread, and no full-size diff is held.
+    on one thread, and no full-size diff is held. Each diff is built in
+    scratch, a contiguous array of x's shape.
     """
     w1 = x.shape[2] - 1
-    _abs_diff_sum(x, 2, out[:, :w1])  # pair (j, j+1) across column gap j
-    _abs_diff_sum(x, 1, out[:, w1:])
+    _abs_diff_sum(_diff(x, 2, scratch), 2, out[:, :w1])  # pair (j, j+1) across column gap j
+    _abs_diff_sum(_diff(x, 1, scratch), 1, out[:, w1:])
 
 
-def _abs_diff_sum(x: np.ndarray, axis: int, out: np.ndarray) -> None:
-    # Sum |diff| along axis over the other spatial axis of (C, H, W);
-    # the diff is freed on return.
-    d = np.diff(x, axis=axis)
+def _diff(x: np.ndarray, axis: int, scratch: np.ndarray) -> np.ndarray:
+    # np.diff(x, axis=axis), built in the memory of scratch.
+    before = (slice(None),) * axis
+    later, earlier = x[before + (slice(1, None),)], x[before + (slice(None, -1),)]
+    d = scratch.reshape(-1)[:later.size].reshape(later.shape)
+    return np.subtract(later, earlier, out=d)
+
+
+def _abs_diff_sum(d: np.ndarray, axis: int, out: np.ndarray) -> None:
+    # Sum |d|, a (C, H, W) diff along axis, over the other spatial axis,
+    # in d's own memory.
     np.abs(d, out=d).sum(axis=3 - axis, out=out)

@@ -25,11 +25,14 @@ E[x^2] - mean^2 does not cancel on a large offset.
 at least 2**20 values along axis 0 into blocks of whole rows, at most
 2**19 values each unless one row is larger, and never fewer blocks than
 cores (``_parallel.leading_map``). Each block writes its part of one
-preallocated output, so tables and scratch are block-sized. The blocks
-run on one thread per core the process may use or, on one core and in
-calls made from those threads, in order on the calling thread; a
-smaller map is one call. Results are bit-identical to an unblocked run.
-There is no setting for it, and BLAS threading is not touched.
+preallocated output, and builds its tables and scratch in a set of
+block-sized temporaries that leading_map allocates on the calling
+thread, one set per block in flight, so that the pool threads allocate
+none. The blocks run on one thread per core the process may use or, on
+one core and in calls made from those threads, in order on the calling
+thread with one set; a smaller map is one call. Results are
+bit-identical to an unblocked run. There is no setting for it, and BLAS
+threading is not touched.
 ``strided_local_mean`` takes its window means from ``local_aggregate``
 on the stride-r grid, so they run in the same blocks, and its gather
 back to full size runs on the calling thread.
@@ -44,21 +47,32 @@ from .errors import EmptyWindowSample
 from .tensor import WindowSpec
 
 
-def build_integral(x: np.ndarray) -> np.ndarray:
+def build_integral(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Summed-area table of x: shape (..., H+1, W+1), zero first row/col.
 
     table[..., p, q] = sum of x[..., :p, :q]; any rectangle sum is then
-    four lookups. Accumulation is float64.
+    four lookups. Accumulation is float64. The table is built in ``out``
+    when given, whatever it holds, else in a new array.
     """
     x = np.asarray(x, dtype=np.float64)
     h, w = x.shape[-2:]
-    table = np.zeros(x.shape[:-2] + (h + 1, w + 1), dtype=np.float64)
+    if out is None:
+        table = np.zeros(x.shape[:-2] + (h + 1, w + 1), dtype=np.float64)
+    else:
+        table = out
+        table[..., 0, :] = 0.0
+        table[..., 1:, 0] = 0.0
     # Both passes are written into the table itself, so nothing else of
     # full size is allocated.
     interior = table[..., 1:, 1:]
     np.cumsum(x, axis=-2, out=interior)
     np.cumsum(interior, axis=-1, out=interior)
     return table
+
+
+def _table_shape(shape) -> tuple:
+    """The shape of the summed-area table of an array of this shape."""
+    return shape[:-2] + (shape[-2] + 1, shape[-1] + 1)
 
 
 def window_sums(
@@ -116,9 +130,12 @@ def _same_view(a: np.ndarray, b: np.ndarray) -> bool:
             and a.shape == b.shape and a.strides == b.strides)
 
 
-def _aggregate(x: np.ndarray, k_h: int, k_w: int, out: np.ndarray) -> np.ndarray:
+def _aggregate(x: np.ndarray, k_h: int, k_w: int, out: np.ndarray,
+               table: np.ndarray | None = None) -> np.ndarray:
+    """Window means of x into out; the summed-area table is built in
+    ``table`` when given."""
     h, w = x.shape[-2:]
-    table = build_integral(x)
+    table = build_integral(x, out=table)
     # The window sums land in the centre of the output itself, so the
     # edge replication only fills in the border.
     centre = window_sums(table, k_h, k_w, out=_centre(out, h - k_h + 1, w - k_w + 1, k_h, k_w))
@@ -137,7 +154,8 @@ def local_aggregate(x: np.ndarray, w: WindowSpec) -> np.ndarray:
     k_h, k_w = w.effective(h, wid)
     if k_h == 1 and k_w == 1:
         return x.copy()  # identity window, exact
-    return leading_map(lambda xs, out: _aggregate(xs, k_h, k_w, out), x)
+    return leading_map(lambda xs, out, table: _aggregate(xs, k_h, k_w, out, table), x,
+                       scratch=lambda s: [(_table_shape(s), np.float64)])
 
 
 def local_mean_var(x: np.ndarray, w: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -155,18 +173,19 @@ def local_mean_var(x: np.ndarray, w: WindowSpec) -> tuple[np.ndarray, np.ndarray
     x = np.asarray(x, dtype=np.float64)
     mean, var = np.empty(x.shape), np.empty(x.shape)
 
-    def block(xs, ms, vs):
+    def block(xs, ms, vs, table):
         # Each map is a group of one, and vs serves as the scratch.
         v = vs[..., None, :, :]
-        return _mean_var(xs[..., None, :, :], w, v, ms[..., None, :, :], v)
+        return _mean_var(xs[..., None, :, :], w, v, ms[..., None, :, :], v,
+                         table[..., None, :, :])
 
-    leading_map(block, x, mean, out=var)
+    leading_map(block, x, mean, out=var, scratch=lambda s: [(_table_shape(s), np.float64)])
     return mean, var
 
 
 def _mean_var(x: np.ndarray, window: WindowSpec | None, scratch: np.ndarray,
               mean: np.ndarray | None = None, var: np.ndarray | None = None,
-              ) -> tuple[np.ndarray, np.ndarray]:
+              temp: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Mean and variance of each group of maps along axis -3 of x: over
     the whole group (window None, shaped (..., 1, 1, 1)) or over the
     group's maps and the window around every pixel (shaped (..., 1, H, W)).
@@ -174,7 +193,9 @@ def _mean_var(x: np.ndarray, window: WindowSpec | None, scratch: np.ndarray,
     The results are written into ``mean`` and ``var`` when given, else
     into new arrays. ``scratch``, of x's shape, receives x shifted by its
     group's mean and then that shift squared; it may be ``var`` when a
-    group holds one map.
+    group holds one map. ``temp``, when given, is the memory of
+    _pool_group's temporary (a contiguous array at least the size of
+    mean), and then of mean * mean.
     """
     shape = x.shape[:-3] + (1,) + ((1, 1) if window is None else x.shape[-2:])
     mean = np.empty(shape) if mean is None else mean
@@ -183,19 +204,24 @@ def _mean_var(x: np.ndarray, window: WindowSpec | None, scratch: np.ndarray,
     # 1983), and without one E[x^2] - mean^2 cancels on large offsets.
     pivot = x.mean(axis=(-3, -2, -1), keepdims=True)
     shifted = np.subtract(x, pivot, out=scratch)
-    _pool_group(shifted, window, mean)
-    _pool_group(np.multiply(shifted, shifted, out=shifted), window, var)
-    var -= mean * mean
+    _pool_group(shifted, window, mean, temp)
+    _pool_group(np.multiply(shifted, shifted, out=shifted), window, var, temp)
+    # Both means are taken, so temp is free again.
+    square = None if temp is None else temp.reshape(-1)[:mean.size].reshape(shape)
+    var -= np.multiply(mean, mean, out=square)
     np.maximum(var, 0.0, out=var)
     mean += pivot
     return mean, var
 
 
-def _pool_group(x: np.ndarray, window: WindowSpec | None, out: np.ndarray) -> np.ndarray:
+def _pool_group(x: np.ndarray, window: WindowSpec | None, out: np.ndarray,
+                temp: np.ndarray | None = None) -> np.ndarray:
     """Mean of x over axis -3, then over the whole map or every window,
-    written into out (which may be x)."""
+    written into out (which may be x). The temporary, when given, is
+    built in ``temp``: the channel mean of a group of several maps
+    before a whole-map mean, or the summed-area table of a window mean."""
     if x.shape[-3] > 1:
-        x = np.mean(x, axis=-3, keepdims=True, out=None if window is None else out)
+        x = np.mean(x, axis=-3, keepdims=True, out=temp if window is None else out)
     if window is None:
         return np.mean(x, axis=(-2, -1), keepdims=True, out=out)
     k_h, k_w = window.effective(*x.shape[-2:])
@@ -203,7 +229,7 @@ def _pool_group(x: np.ndarray, window: WindowSpec | None, out: np.ndarray) -> np
         if x is not out:
             out[...] = x
         return out
-    return _aggregate(x, k_h, k_w, out)
+    return _aggregate(x, k_h, k_w, out, temp)
 
 
 def _max_lags(k: int) -> list[int]:
@@ -220,15 +246,16 @@ def _max_lags(k: int) -> list[int]:
     return lags
 
 
-def _max(x: np.ndarray, k_h: int, k_w: int, out: np.ndarray) -> np.ndarray:
+def _max(x: np.ndarray, k_h: int, k_w: int, out: np.ndarray,
+         scratch: np.ndarray | None = None) -> np.ndarray:
     h, w = x.shape[-2:]
     # Rows first: each of their steps is one np.maximum over whole rows,
     # and they shrink the map to its valid rows before the column steps.
     steps = [(lag, 0) for lag in _max_lags(k_h)] + [(0, lag) for lag in _max_lags(k_w)]
     # A step never writes over what it reads: the steps alternate between
-    # out and one scratch, and the last writes the interior straight into
-    # out's centre, where replicate_to_full leaves it.
-    scratch = np.empty(x.shape) if len(steps) > 1 else None
+    # out and scratch (of x's shape, needed from two steps on), and the
+    # last writes the interior straight into out's centre, where
+    # replicate_to_full leaves it.
     m = x
     for i, (d_h, d_w) in enumerate(steps):
         left = len(steps) - 1 - i  # steps after this one
@@ -245,7 +272,9 @@ def local_max(x: np.ndarray, w: WindowSpec) -> np.ndarray:
     """Windowed maximum with the same placement/replication as local_aggregate."""
     x = np.asarray(x, dtype=np.float64)
     k_h, k_w = w.effective(*x.shape[-2:])
-    return leading_map(lambda xs, out: _max(xs, k_h, k_w, out), x)
+    stepped = len(_max_lags(k_h)) + len(_max_lags(k_w)) > 1
+    return leading_map(lambda xs, out, *scratch: _max(xs, k_h, k_w, out, *scratch), x,
+                       scratch=lambda s: [(s, np.float64)] if stepped else [])
 
 
 def strided_local_mean(x: np.ndarray, w: WindowSpec, stride: int) -> np.ndarray:

@@ -38,7 +38,7 @@ import numpy as np
 
 from ._parallel import leading_map
 from .errors import InvalidGroupCount, ShapeMismatch
-from .integral import _mean_var, local_aggregate, local_max
+from .integral import _mean_var, _table_shape, local_aggregate, local_max
 from .tensor import FeatureMap, WindowSpec
 
 
@@ -168,13 +168,19 @@ def _cbam_logits(x: FeatureMap, p: SeParams, window: WindowSpec | None) -> np.nd
 
 def _group_stats(g: np.ndarray, window: WindowSpec | None, eps: float,
                  scratch: np.ndarray, mu: np.ndarray | None = None,
-                 sd: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                 sd: np.ndarray | None = None,
+                 temp: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Mean and sqrt(var + eps) of each group of g (``integral._mean_var``)."""
-    mu, sd = _mean_var(g, window, scratch, mu, sd)
+    mu, sd = _mean_var(g, window, scratch, mu, sd, temp)
     # sd starts as the variance and becomes sqrt(var + eps) in place.
     sd += eps
     np.sqrt(sd, out=sd)
     return mu, sd
+
+
+def _pooled(shape) -> tuple:
+    """The shape of one map per group of grouped maps of this shape."""
+    return shape[:-3] + (1,) + shape[-2:]
 
 
 def _grouped(x: FeatureMap, p: NormParams) -> np.ndarray:
@@ -222,12 +228,20 @@ def _global_steps(kind: str, x: FeatureMap, p):
     both run the group norm of p.groups."""
     if kind in _LOGITS:
         return np.multiply, (_sigmoid(_LOGITS[kind](x, p, None)),)
-    # Each group's statistics, one block of groups per core with a
-    # block-sized scratch, then repeated for each channel of the group.
+    # Each group's statistics, one block of groups per core, then
+    # repeated for each channel of the group.
     grouped = _grouped(x, p)
     mu, sd = np.empty((2, p.groups, 1, 1, 1))
-    leading_map(lambda g, m, out: _group_stats(g, None, p.eps, np.empty(g.shape), m, out),
-                grouped, mu, out=sd)
+
+    def stats(g, m, out, shifted, *channel_mean):
+        _group_stats(g, None, p.eps, shifted, m, out, *channel_mean)
+
+    def scratch(s):
+        # The shifted groups and, for groups of several channels, their
+        # channel mean.
+        return [(s, np.float64)] + ([(_pooled(s), np.float64)] if s[-3] > 1 else [])
+
+    leading_map(stats, grouped, mu, out=sd, scratch=scratch)
     per_channel = grouped.shape[1]
     mu, sd = (np.repeat(a, per_channel, axis=0).reshape(-1, 1, 1) for a in (mu, sd))
     return _normalize, (mu, sd, p.gamma.reshape(-1, 1, 1), p.beta.reshape(-1, 1, 1))
@@ -245,13 +259,15 @@ def _forward(kind: str, x: FeatureMap, p, window: WindowSpec | None) -> FeatureM
         return FeatureMap(leading_map(_sigmoid_times, x.data, z, out=z))
     per_group = (p.groups, -1, 1, 1)
 
-    def body(g, gamma, beta, out):
+    def body(g, gamma, beta, out, mu, sd, table):
         # The output block is the statistics' scratch until it is written.
-        mu, sd = _group_stats(g, window, p.eps, out)
+        _group_stats(g, window, p.eps, out, mu, sd, table)
         _normalize(g, mu, sd, gamma, beta, out)
 
     normed = leading_map(body, _grouped(x, p), p.gamma.reshape(per_group),
-                         p.beta.reshape(per_group))
+                         p.beta.reshape(per_group),
+                         scratch=lambda s: [(_pooled(s), np.float64)] * 2
+                         + [(_table_shape(_pooled(s)), np.float64)])
     return FeatureMap(normed.reshape(x.data.shape))
 
 

@@ -56,10 +56,11 @@ VERSION = 1
 _HEADER = struct.Struct("<4sIIII")
 
 
-def _finite_channels(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # One flag per channel; the bool temporary is only block-sized when
-    # the map is cut into blocks.
-    return np.all(np.isfinite(x), axis=(-2, -1), out=out)
+def _finite_channels(x: np.ndarray, out: np.ndarray,
+                     finite: np.ndarray | None = None) -> np.ndarray:
+    # One flag per channel, from a bool map built in ``finite`` when
+    # given (see FeatureMap), else in a new array.
+    return np.all(np.isfinite(x, out=finite), axis=(-2, -1), out=out)
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,8 @@ class FeatureMap:
             raise ShapeMismatch(f"expected (C, H, W), got shape {arr.shape}")
         if any(d < 1 for d in arr.shape):
             raise ShapeMismatch(f"all dims must be positive, got {arr.shape}")
-        finite = leading_map(_finite_channels, arr, out=np.empty(arr.shape[0], dtype=bool))
+        finite = leading_map(_finite_channels, arr, out=np.empty(arr.shape[0], dtype=bool),
+                             scratch=lambda s: [(s, bool)])
         if not finite.all():
             raise NonFiniteValue("feature map contains NaN or Inf")
         # Freeze a view: the caller's own array stays writeable.
@@ -161,8 +163,9 @@ def read_tensor(path) -> FeatureMap:
                     f"{path}: expected {4 * count} payload bytes, got {available}"
                 )
             # On the caller's thread: reading blocks on the pool was no
-            # faster, and the pool's threads kept the freed buffers,
-            # which raised the peak memory of later work.
+            # faster. It also raised the peak memory of later work, but
+            # only because each pool thread allocated its own buffers
+            # (see _parallel on where a block's temporaries come from).
             data = np.empty((c, h, w))
             step = block_rows(data.shape)
             buf = np.empty((min(step, c), h, w), dtype="<f4")

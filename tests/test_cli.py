@@ -149,6 +149,36 @@ def test_calibrate_csv_output(tmp_path):
     assert rows == [["a", "384", "384"], ["b", "192", "192"]]
 
 
+def _calibrate(output, layers):
+    argv = ["calibrate", "--calib", "384", "384", "--output", str(output)]
+    return main(argv + [arg for name in layers for arg in ("--layer", f"{name}=1")])
+
+
+@pytest.mark.parametrize("before", [["a", "b", "c"], ["a"], []],
+                         ids=["longer", "as long", "shorter"])
+def test_csv_rewritten_in_place_equals_a_fresh_write(tmp_path, before):
+    # The rewrite keeps the old file: whether that is longer, as long or
+    # shorter, the file must end where the new rows end.
+    out, fresh = tmp_path / "cal.csv", tmp_path / "fresh.csv"
+    if before:
+        assert _calibrate(out, before) == 0
+    else:
+        out.write_bytes(b"x")
+    assert _calibrate(out, ["a"]) == 0 and _calibrate(fresh, ["a"]) == 0
+    assert out.read_bytes() == fresh.read_bytes() == b"layer,k_h,k_w\r\na,384,384\r\n"
+
+
+def test_csv_to_a_pipe_is_written_without_seeking():
+    code = ("import sys; from tlc.cli import main; sys.exit(main(['calibrate', '--calib', "
+            "'384', '384', '--layer', 'a=1', '--output', '/dev/stdout']))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == b"layer,k_h,k_w\r\na,384,384\r\n"
+
+
 def test_demo_zero_noise_passthrough(tmp_path):
     outdir = tmp_path / "demo"
     assert main(["demo", "--seed", "42", "--noise", "none",

@@ -55,6 +55,16 @@ def test_integral_zero_borders(rng):
     assert np.all(t[0, :] == 0) and np.all(t[:, 0] == 0)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (5, 7), (3, 4, 6), (2, 3, 1, 9)], ids=str)
+def test_integral_into_a_nan_filled_out_equals_a_fresh_table(rng, shape):
+    x = rng.standard_normal(shape)
+    want = build_integral(x)
+    out = np.full(shape[:-2] + (shape[-2] + 1, shape[-1] + 1), np.nan)
+    assert build_integral(x, out=out) is out
+    assert out.tobytes() == want.tobytes()
+    assert not out[..., 0, :].any() and not out[..., :, 0].any()
+
+
 def test_window_sums_matches_direct(rng):
     x = rng.standard_normal((10, 12))
     t = build_integral(x)

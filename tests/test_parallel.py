@@ -12,6 +12,7 @@ import struct
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -54,6 +55,29 @@ class CountingPool:
         with self.lock:
             self.tasks += 1
         return self.pool.submit(*args)
+
+
+class PeakPool:
+    """Runs each submitted task to completion, one at a time, on one
+    marked worker thread and records the task's tracemalloc peak: the
+    most it held beyond what was held when it started."""
+
+    def __init__(self):
+        self.pool = ThreadPoolExecutor(max_workers=1, initializer=_parallel._mark_worker)
+        self.peaks = []
+
+    def submit(self, fn, *args):
+        def measured():
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            try:
+                fn(*args)
+            finally:
+                self.peaks.append(tracemalloc.get_traced_memory()[1] - before)
+
+        future = self.pool.submit(measured)
+        future.exception()  # waits; leading_map re-raises it
+        return future
 
 
 @pytest.fixture
@@ -697,3 +721,103 @@ def test_one_worker_kernel_holds_block_sized_temporaries(monkeypatch, kernel):
     finally:
         tracemalloc.stop()
     assert peak <= out.nbytes + 6.0e6
+
+
+# --- temporaries: one set per block in flight --------------------------------
+
+
+def test_blocks_in_flight_never_share_a_set_of_temporaries(monkeypatch):
+    # A fresh pool of 8 threads on calls that see 2 workers: each call
+    # allocates 2 sets for its 7 one-row blocks, so most tasks wait for a
+    # set. A set lent to two blocks at once would mix their rows.
+    monkeypatch.setattr(_parallel, "_pool", None)
+    monkeypatch.setattr(_parallel, "_WORKERS", 8)
+    _parallel._executor()
+    monkeypatch.setattr(_parallel, "_WORKERS", 2)
+    monkeypatch.setattr(_parallel, "_MIN_VALUES", 0)
+    monkeypatch.setattr(_parallel, "_BLOCK_VALUES", 1)
+    x = _map((7, 13, 17))
+
+    def fn(xs, out, a, b):
+        a[...] = xs
+        b[...] = -xs
+        for _ in range(50):  # switch threads while the set is held
+            np.add(a, b, out=out)
+        np.subtract(a, out, out=out)
+
+    def call():
+        return _parallel.leading_map(fn, x, scratch=lambda s: [(s, np.float64)] * 2)
+
+    results, errors = [], []
+
+    def caller():
+        try:
+            for _ in range(10):
+                results.append(call())
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, daemon=True) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(JOIN_TIMEOUT_S)
+    finally:
+        sys.setswitchinterval(interval)
+        if not any(t.is_alive() for t in threads):
+            _parallel._pool.shutdown()
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(results) == 40 and all(np.array_equal(r, x) for r in results)
+
+
+# --- pool tasks allocate nothing of a channel's size -------------------------
+
+
+def _task_calls():
+    """Every leading_map body that runs on the pool, as calls on a
+    16 x 256 x 256 map (the size floor, two blocks of 8 channels)."""
+    x = _map((16, 256, 256))
+    fmap = FeatureMap(x)
+    w = WindowSpec(33, 17)
+    rng = np.random.default_rng(5)
+    se = SeParams(rng.standard_normal((16, 4)), rng.standard_normal((4, 16)), ratio=4)
+    gamma, beta = rng.uniform(0.5, 1.5, 16), rng.uniform(-0.5, 0.5, 16)
+    gn, norm_in = NormParams(gamma, beta, groups=4), NormParams(gamma, beta, groups=16)
+    plan = fusion.plan_tiles(256, 256, (64, 64), (32, 32))
+    return {
+        "local_aggregate": lambda: local_aggregate(x, w),
+        "local_max": lambda: local_max(x, w),
+        "local_mean_var": lambda: local_mean_var(x, w),
+        "FeatureMap": lambda: FeatureMap(x),
+        "se": lambda: se_forward(fmap, se, w),
+        "cbam": lambda: cbam_channel_forward(fmap, se, w),
+        "gn": lambda: norm_forward(fmap, gn, w),
+        "in": lambda: norm_forward(fmap, norm_in, w),
+        "ge": lambda: ge_forward(fmap, w),
+        "gn_global_step": lambda: modules._global_steps("gn", fmap, gn),
+        "seam_metric": lambda: fusion.seam_metric(fmap, plan),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_task_calls()))
+def test_pool_tasks_allocate_no_channel_sized_array(monkeypatch, name):
+    # leading_map hands each block its temporaries from the calling
+    # thread, so a task holds at most numpy's own buffers. Allocated in
+    # the tasks, they held 513 KiB (a bool map, in FeatureMap, SE) to
+    # 12.3 MiB (IN's mean, variance and table) each.
+    monkeypatch.setattr(_parallel, "_WORKERS", 2)
+    peaks = PeakPool()
+    monkeypatch.setattr(_parallel, "_executor", lambda: peaks)
+    call = _task_calls()[name]
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        tracemalloc.stop()
+        peaks.pool.shutdown()
+    assert peaks.peaks
+    assert max(peaks.peaks) < 256 * 256 * 8  # one float64 channel, 512 KiB
