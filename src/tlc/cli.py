@@ -47,6 +47,7 @@ from .tensor import (
     FeatureMap,
     WindowSpec,
     _open_without_truncating,
+    _read_float32,
     _write_rows,
     psnr,
     read_tensor,
@@ -245,7 +246,10 @@ def cmd_convert(args) -> int:
     if kind == "ge" and args.params is not None:
         raise UsageError("--params is not read by --module ge, which has no parameters")
     window = _window(args)
-    x = read_tensor(args.input)
+    # The input stays float32, half the memory of a float64 map; every
+    # step widens what it computes on one block at a time (see
+    # tlc.integral), so the outputs are those of the float64 map.
+    x = _read_float32(args.input)
     params = None
     ratio = 16
     if kind in ("se", "cbam", "in", "gn"):

@@ -74,7 +74,8 @@ def wiener_restore(noisy: FeatureMap, window: WindowSpec, local_noise: bool) -> 
     image; True estimates it per pixel over the same window. Noiseless
     channels pass through unchanged.
     """
-    y = noisy.data
+    # Widened whole: the gain takes a dozen float64 maps of this size anyway.
+    y = np.asarray(noisy.data, dtype=np.float64)
     mean, total_var = local_mean_var(y, window)
     residual = y - local_aggregate(y, WindowSpec(3, 3))
     r2 = residual * residual

@@ -83,24 +83,54 @@ def coverage_counts(plan: TilePlan) -> np.ndarray:
 def apply_and_fuse(x: FeatureMap, plan: TilePlan, op) -> FeatureMap:
     """Run op on every window and average the overlaps.
 
-    op maps a (C, k_h, k_w) array to a same-shape array. Windows are
-    accumulated in plan order into one float64 sum buffer, so the result
-    is deterministic; overlap averaging makes it order-independent up to
-    float addition reordering.
+    op maps a read-only (C, k_h, k_w) float64 array to a same-shape
+    array (see _windows). Windows are accumulated in plan order into one
+    float64 sum buffer, so the result is deterministic; overlap
+    averaging makes it order-independent up to float addition
+    reordering.
     """
     if plan.shape != (x.height, x.width):
         raise ShapeMismatch(f"plan is for {plan.shape}, map is "
                             f"({x.height}, {x.width})")
     k_h, k_w = plan.window
-    acc = np.zeros_like(x.data)
-    for r, c in plan.placements:
-        win = x.data[:, r:r + k_h, c:c + k_w]
+    acc = np.zeros(x.data.shape)
+    for r, c, win in _windows(x.data, plan):
         out = np.asarray(op(win), dtype=np.float64)
         if out.shape != win.shape:
             raise OpShapeViolation(f"op returned {out.shape}, expected {win.shape}")
         acc[:, r:r + k_h, c:c + k_w] += out
     acc /= coverage_counts(plan)[None, :, :]
     return FeatureMap(acc)
+
+
+def _windows(data: np.ndarray, plan: TilePlan):
+    """(r, c, window) for each placement of plan, in plan order, each
+    window a float64 view of data's values.
+
+    A float64 map's windows are views of it. A float32 map is widened
+    one row of windows at a time into a band of full-width rows, with
+    one spare row unless the windows span the map's height. A window of
+    the band is then laid out as a window of the float64 map is: its
+    rows are contiguous with each other only where the window spans the
+    width, and its channels only where it spans the whole map. An op
+    whose result depends on that layout (numpy's summation order in a
+    mean over the window, for one) gives the same bits on either map.
+    """
+    k_h, k_w = plan.window
+    if data.dtype == np.float64:
+        for r, c in plan.placements:
+            yield r, c, data[:, r:r + k_h, c:c + k_w]
+        return
+    c_count, h, w = data.shape
+    band = np.empty((c_count, k_h + (k_h < h), w))
+    top = None
+    for r, c in plan.placements:
+        if r != top:
+            band[:, :k_h] = data[:, r:r + k_h]
+            top = r
+        win = band[:, :k_h, c:c + k_w]
+        win.flags.writeable = False  # the band is reused by later windows
+        yield r, c, win
 
 
 def transposed_attention(window: np.ndarray, p: AttnParams) -> np.ndarray:
@@ -172,7 +202,8 @@ def _gap_sums(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     seam_metric runs this through leading_map, so a map above the size
     floor arrives a block of channels at a time, on the pool or in order
     on one thread, and no full-size diff is held. Each diff is built in
-    scratch, a contiguous array of x's shape.
+    scratch, a contiguous float64 array of x's shape, from x's values
+    widened to float64.
     """
     w1 = x.shape[2] - 1
     _abs_diff_sum(_diff(x, 2, scratch), 2, out[:, :w1])  # pair (j, j+1) across column gap j
@@ -184,7 +215,7 @@ def _diff(x: np.ndarray, axis: int, scratch: np.ndarray) -> np.ndarray:
     before = (slice(None),) * axis
     later, earlier = x[before + (slice(1, None),)], x[before + (slice(None, -1),)]
     d = scratch.reshape(-1)[:later.size].reshape(later.shape)
-    return np.subtract(later, earlier, out=d)
+    return np.subtract(later, earlier, out=d, dtype=np.float64)
 
 
 def _abs_diff_sum(d: np.ndarray, axis: int, out: np.ndarray) -> None:

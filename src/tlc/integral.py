@@ -14,7 +14,14 @@ nearest interior window center.
 Every kernel works on the last two axes of an array of any rank, so a
 (C, H, W) map is one call: leading axes are batch axes, and each slice
 along them gives bit for bit what a call on that 2-D slice alone gives.
-Accumulation is float64.
+Storage is float32 or float64, arithmetic float64 per block: a float32
+array is never widened whole. Each block is widened, exactly, into a
+float64 temporary before any sum, mean or reduction (the summed-area
+table itself, or declared scratch), so a float32 array gives bit for
+bit what its C-ordered float64 copy gives, and a float64 array takes
+the float64 path unchanged. The windowed max runs its steps on float32,
+since max is exact, and widens once as it writes its result. Every
+public kernel returns float64.
 
 Every mean and variance (``local_mean_var``, and IN/GN in
 ``tlc.modules``) comes from one private helper, which shifts each map or
@@ -44,17 +51,18 @@ import numpy as np
 
 from ._parallel import leading_map
 from .errors import EmptyWindowSample
-from .tensor import WindowSpec
+from .tensor import WindowSpec, _stored
 
 
 def build_integral(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Summed-area table of x: shape (..., H+1, W+1), zero first row/col.
 
     table[..., p, q] = sum of x[..., :p, :q]; any rectangle sum is then
-    four lookups. Accumulation is float64. The table is built in ``out``
-    when given, whatever it holds, else in a new array.
+    four lookups. Accumulation is float64: a float32 x is widened into
+    the table itself first. The table is built in ``out`` when given,
+    whatever it holds, else in a new array.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _stored(x)
     h, w = x.shape[-2:]
     if out is None:
         table = np.zeros(x.shape[:-2] + (h + 1, w + 1), dtype=np.float64)
@@ -65,9 +73,18 @@ def build_integral(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # Both passes are written into the table itself, so nothing else of
     # full size is allocated.
     interior = table[..., 1:, 1:]
-    np.cumsum(x, axis=-2, out=interior)
+    np.cumsum(_widened(x, interior), axis=-2, out=interior)
     np.cumsum(interior, axis=-1, out=interior)
     return table
+
+
+def _widened(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """x itself when it is float64, else x widened (exactly) into
+    scratch, a float64 array of x's shape."""
+    if x.dtype == np.float64:
+        return x
+    np.copyto(scratch, x)
+    return scratch
 
 
 def _table_shape(shape) -> tuple:
@@ -149,11 +166,11 @@ def local_aggregate(x: np.ndarray, w: WindowSpec) -> np.ndarray:
     Windows are clamped to the map, so k >= map size reproduces the
     global mean at every pixel.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _stored(x)
     h, wid = x.shape[-2:]
     k_h, k_w = w.effective(h, wid)
     if k_h == 1 and k_w == 1:
-        return x.copy()  # identity window, exact
+        return x.astype(np.float64, order="C")  # identity window, exact
     return leading_map(lambda xs, out, table: _aggregate(xs, k_h, k_w, out, table), x,
                        scratch=lambda s: [(_table_shape(s), np.float64)])
 
@@ -168,9 +185,10 @@ def local_mean_var(x: np.ndarray, w: WindowSpec) -> tuple[np.ndarray, np.ndarray
     under the shift, so an offset of 1e4 on a spread of 1e-2 keeps a
     relative error of about 1e-13 against a two-pass reference, where
     the unshifted formula was off by more than 10%. Each block is
-    shifted inside its part of the variance output.
+    widened, if it is float32, and shifted inside its part of the
+    variance output.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _stored(x)
     mean, var = np.empty(x.shape), np.empty(x.shape)
 
     def block(xs, ms, vs, table):
@@ -184,22 +202,20 @@ def local_mean_var(x: np.ndarray, w: WindowSpec) -> tuple[np.ndarray, np.ndarray
 
 
 def _mean_var(x: np.ndarray, window: WindowSpec | None, scratch: np.ndarray,
-              mean: np.ndarray | None = None, var: np.ndarray | None = None,
+              mean: np.ndarray, var: np.ndarray,
               temp: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Mean and variance of each group of maps along axis -3 of x: over
     the whole group (window None, shaped (..., 1, 1, 1)) or over the
     group's maps and the window around every pixel (shaped (..., 1, H, W)).
 
-    The results are written into ``mean`` and ``var`` when given, else
-    into new arrays. ``scratch``, of x's shape, receives x shifted by its
-    group's mean and then that shift squared; it may be ``var`` when a
-    group holds one map. ``temp``, when given, is the memory of
-    _pool_group's temporary (a contiguous array at least the size of
-    mean), and then of mean * mean.
+    The results are written into ``mean`` and ``var``. ``scratch``, a
+    float64 array of x's shape, receives x widened (when x is float32),
+    then x shifted by its group's mean and then that shift squared; it
+    may be ``var`` when a group holds one map. ``temp``, when given, is
+    the memory of _pool_group's temporary (a contiguous array at least
+    the size of mean), and then of mean * mean.
     """
-    shape = x.shape[:-3] + (1,) + ((1, 1) if window is None else x.shape[-2:])
-    mean = np.empty(shape) if mean is None else mean
-    var = np.empty(shape) if var is None else var
+    x = _widened(x, scratch)
     # The variance does not change under a shift (Chan, Golub & LeVeque
     # 1983), and without one E[x^2] - mean^2 cancels on large offsets.
     pivot = x.mean(axis=(-3, -2, -1), keepdims=True)
@@ -207,7 +223,7 @@ def _mean_var(x: np.ndarray, window: WindowSpec | None, scratch: np.ndarray,
     _pool_group(shifted, window, mean, temp)
     _pool_group(np.multiply(shifted, shifted, out=shifted), window, var, temp)
     # Both means are taken, so temp is free again.
-    square = None if temp is None else temp.reshape(-1)[:mean.size].reshape(shape)
+    square = None if temp is None else temp.reshape(-1)[:mean.size].reshape(mean.shape)
     var -= np.multiply(mean, mean, out=square)
     np.maximum(var, 0.0, out=var)
     mean += pivot
@@ -247,15 +263,15 @@ def _max_lags(k: int) -> list[int]:
 
 
 def _max(x: np.ndarray, k_h: int, k_w: int, out: np.ndarray,
-         scratch: np.ndarray | None = None) -> np.ndarray:
+         odd: np.ndarray | None = None, even: np.ndarray | None = None) -> np.ndarray:
     h, w = x.shape[-2:]
     # Rows first: each of their steps is one np.maximum over whole rows,
     # and they shrink the map to its valid rows before the column steps.
     steps = [(lag, 0) for lag in _max_lags(k_h)] + [(0, lag) for lag in _max_lags(k_w)]
     # A step never writes over what it reads: the steps alternate between
-    # out and scratch (of x's shape, needed from two steps on), and the
-    # last writes the interior straight into out's centre, where
-    # replicate_to_full leaves it.
+    # odd and even (arrays of x's shape, needed from two and three steps
+    # on), and the last writes the interior straight into out's centre,
+    # where replicate_to_full leaves it.
     m = x
     for i, (d_h, d_w) in enumerate(steps):
         left = len(steps) - 1 - i  # steps after this one
@@ -263,18 +279,25 @@ def _max(x: np.ndarray, k_h: int, k_w: int, out: np.ndarray,
         if left == 0:
             dst = _centre(out, n_h, n_w, k_h, k_w)
         else:
-            dst = (out if left % 2 == 0 else scratch)[..., :n_h, :n_w]
+            dst = (even if left % 2 == 0 else odd)[..., :n_h, :n_w]
         m = np.maximum(m[..., :n_h, :n_w], m[..., d_h:, d_w:], out=dst)
     return replicate_to_full(m, h, w, k_h, k_w, out=out)
 
 
 def local_max(x: np.ndarray, w: WindowSpec) -> np.ndarray:
     """Windowed maximum with the same placement/replication as local_aggregate."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _stored(x)
     k_h, k_w = w.effective(*x.shape[-2:])
-    stepped = len(_max_lags(k_h)) + len(_max_lags(k_w)) > 1
-    return leading_map(lambda xs, out, *scratch: _max(xs, k_h, k_w, out, *scratch), x,
-                       scratch=lambda s: [(s, np.float64)] if stepped else [])
+    steps = len(_max_lags(k_h)) + len(_max_lags(k_w))
+    if x.dtype == np.float64:
+        # Float64 steps alternate between out and one scratch array.
+        return leading_map(lambda xs, out, *odd: _max(xs, k_h, k_w, out, *odd, out), x,
+                           scratch=lambda s: [(s, np.float64)] if steps > 1 else [])
+    # Float32 steps alternate between float32 arrays, and only the
+    # last, into out, widens: max is exact, so the result is that of the
+    # float64 steps, at half their bytes.
+    return leading_map(lambda xs, out, *pair: _max(xs, k_h, k_w, out, *pair), x,
+                       scratch=lambda s: [(s, np.float32)] * min(steps - 1, 2))
 
 
 def strided_local_mean(x: np.ndarray, w: WindowSpec, stride: int) -> np.ndarray:
@@ -293,7 +316,7 @@ def strided_local_mean(x: np.ndarray, w: WindowSpec, stride: int) -> np.ndarray:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if stride == 1:
         return local_aggregate(x, w)
-    x = np.asarray(x, dtype=np.float64)
+    x = _stored(x)
     h, wid = x.shape[-2:]
     k_h, k_w = w.effective(h, wid)
     if (k_h < h and stride > k_h) or (k_w < wid and stride > k_w):

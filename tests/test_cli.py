@@ -995,3 +995,22 @@ def test_fuse_mean_broadcast_is_the_overlap_average_of_tile_means(tmp_path, rng)
     # Tile means are constant inside a tile, so the fused map changes
     # only across tile edges.
     assert float(report["fused"]) > 0
+
+
+@pytest.mark.parametrize("module", sorted(CONVERT_PEAK_MB))
+def test_convert_holds_its_input_as_float32(tmp_path, two_workers, module):
+    # convert keeps the float32 payload as its input map, so its peak
+    # sits at least one float32 input (8.4 MB) below CONVERT_PEAK_MB,
+    # which a float64 input fills. Measured: SE, GN and GE 36.2 MB,
+    # CBAM 38.1 and IN 50.9, against 44.6 to 59.3 with a float64 input.
+    shape = (32, 256, 256)
+    params = _convert_inputs(tmp_path, shape)[module]
+    argv = _convert_argv(tmp_path, module, params, tmp_path / "out")
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= CONVERT_PEAK_MB[module] * 1e6 - 4 * int(np.prod(shape))

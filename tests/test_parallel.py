@@ -821,3 +821,51 @@ def test_pool_tasks_allocate_no_channel_sized_array(monkeypatch, name):
         peaks.pool.shutdown()
     assert peaks.peaks
     assert max(peaks.peaks) < 256 * 256 * 8  # one float64 channel, 512 KiB
+
+
+
+def _float32_task_calls():
+    """The pool bodies of _task_calls on a float32 map, and the global
+    steps that pool a float32 map (GE's mean, CBAM's max)."""
+    x = _map((16, 256, 256)).astype(np.float32)
+    fmap = FeatureMap(x)
+    w = WindowSpec(33, 17)
+    rng = np.random.default_rng(5)
+    se = SeParams(rng.standard_normal((16, 4)), rng.standard_normal((4, 16)), ratio=4)
+    gamma, beta = rng.uniform(0.5, 1.5, 16), rng.uniform(-0.5, 0.5, 16)
+    gn, norm_in = NormParams(gamma, beta, groups=4), NormParams(gamma, beta, groups=16)
+    plan = fusion.plan_tiles(256, 256, (64, 64), (32, 32))
+    return {
+        "local_aggregate": lambda: local_aggregate(x, w),
+        "local_max": lambda: local_max(x, w),
+        "local_mean_var": lambda: local_mean_var(x, w),
+        "FeatureMap": lambda: FeatureMap(x),
+        "se": lambda: se_forward(fmap, se, w),
+        "cbam": lambda: cbam_channel_forward(fmap, se, w),
+        "gn": lambda: norm_forward(fmap, gn, w),
+        "in": lambda: norm_forward(fmap, norm_in, w),
+        "ge": lambda: ge_forward(fmap, w),
+        "gn_global_step": lambda: modules._global_steps("gn", fmap, gn),
+        "ge_global_step": lambda: modules._global_steps("ge", fmap, None),
+        "cbam_global_step": lambda: modules._global_steps("cbam", fmap, se),
+        "seam_metric": lambda: fusion.seam_metric(fmap, plan),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_float32_task_calls()))
+def test_float32_pool_tasks_allocate_no_channel_sized_array(monkeypatch, name):
+    # A float32 block is widened into a float64 temporary that leading_map
+    # allocates on the calling thread, or into the block's own table or
+    # output, so a task holds no more than it does on a float64 map.
+    monkeypatch.setattr(_parallel, "_WORKERS", 2)
+    peaks = PeakPool()
+    monkeypatch.setattr(_parallel, "_executor", lambda: peaks)
+    call = _float32_task_calls()[name]
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        tracemalloc.stop()
+        peaks.pool.shutdown()
+    assert peaks.peaks
+    assert max(peaks.peaks) < 256 * 256 * 8  # one float64 channel, 512 KiB
