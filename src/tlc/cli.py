@@ -47,7 +47,6 @@ from .tensor import (
     FeatureMap,
     WindowSpec,
     _open_without_truncating,
-    _read_float32,
     _write_rows,
     psnr,
     read_tensor,
@@ -199,8 +198,10 @@ def cmd_aggregate(args) -> int:
     elif args.stat == "var":
         if args.brute_force:
             # Centred on each channel's mean, so that the two means do
-            # not cancel on a large offset.
-            centred = data - data.mean(axis=(-2, -1), keepdims=True)
+            # not cancel on a large offset; in float64, as the kernels
+            # compute, since a float32 mean sums in float32.
+            wide = np.asarray(data, dtype=np.float64)
+            centred = wide - wide.mean(axis=(-2, -1), keepdims=True)
             m = brute_force_local_mean(centred, window)
             sq = brute_force_local_mean(centred * centred, window)
             stat = np.maximum(sq - m * m, 0.0)
@@ -246,10 +247,7 @@ def cmd_convert(args) -> int:
     if kind == "ge" and args.params is not None:
         raise UsageError("--params is not read by --module ge, which has no parameters")
     window = _window(args)
-    # The input stays float32, half the memory of a float64 map; every
-    # step widens what it computes on one block at a time (see
-    # tlc.integral), so the outputs are those of the float64 map.
-    x = _read_float32(args.input)
+    x = read_tensor(args.input)
     params = None
     ratio = 16
     if kind in ("se", "cbam", "in", "gn"):

@@ -7,13 +7,13 @@ File format (little-endian):
     then        C*H*W float32 values, row-major within channel,
                 channels outermost. No padding, no checksum.
 
-``read_tensor`` and ``write_tensor`` never hold the payload as one
-float32 array: they go through one float32 buffer of one block of
-channels (the block size of ``_parallel``), reused from block to block.
-``tlc convert`` reads its input with ``_read_float32`` instead, which
-fills one float32 map with one ``readinto`` and keeps it as the
-FeatureMap's data. Both readers check the header and the file's size
-first. A write stores a map, or a leading_map body's
+``read_tensor`` is the one reader. It checks the header and the file's
+size, then fills one float32 map of the file's shape with one
+``readinto`` and keeps it as the FeatureMap's data, without a copy:
+half the memory of a float64 map, and no widening pass. ``write_tensor``
+never holds the payload as one float32 array: it converts one block of
+channels (the block size of ``_parallel``) at a time into one reused
+float32 buffer. A write stores a map, or a leading_map body's
 result computed a round of channels at a time into one reused float64
 scratch, so that convert's global outputs never exist as full maps.
 
@@ -175,52 +175,23 @@ def _payload_shape(fh, path) -> tuple[int, int, int]:
     return c, h, w
 
 
-def _fill(fh, path, block: np.ndarray, lo: int) -> None:
-    """Read the payload's next len(block) channels, from channel lo, into block."""
-    if fh.readinto(block) < block.nbytes:  # the file shrank after the size check
-        raise TruncatedPayload(
-            f"{path}: payload ends inside channels {lo}-{lo + len(block) - 1}"
-        )
-
-
 def read_tensor(path) -> FeatureMap:
-    """Read a TLCT file back into a float64 FeatureMap, bit-exactly.
+    """Read a TLCT file into a FeatureMap that holds the payload as
+    float32, bit for bit.
 
     The header and the payload's size are checked first (see
-    _payload_shape). The float64 map is then filled one block of
-    channels at a time, read into one reused float32 buffer; bytes past
-    the payload are ignored.
+    _payload_shape). One float32 map of the file's shape is then filled
+    with one readinto and kept as the FeatureMap's data; bytes past the
+    payload are ignored.
     """
     try:
         with open(path, "rb") as fh:
             c, h, w = _payload_shape(fh, path)
-            # On the caller's thread: reading blocks on the pool was no
-            # faster. It also raised the peak memory of later work, but
-            # only because each pool thread allocated its own buffers
-            # (see _parallel on where a block's temporaries come from).
-            data = np.empty((c, h, w))
-            step = block_rows(data.shape)
-            buf = np.empty((min(step, c), h, w), dtype="<f4")
-            for lo in range(0, c, step):
-                block = buf[:min(step, c - lo)]
-                _fill(fh, path, block, lo)
-                data[lo:lo + len(block)] = block
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    return FeatureMap(data)
-
-
-def _read_float32(path) -> FeatureMap:
-    """Read a TLCT file into a FeatureMap that holds the payload as
-    float32, with the checks of read_tensor, in one readinto: half the
-    memory of read_tensor's float64 map, and no widening pass. Private,
-    so that the benchmark's tracer, which wraps every public function,
-    counts its time in its caller (``tlc convert``)."""
-    try:
-        with open(path, "rb") as fh:
-            shape = _payload_shape(fh, path)
-            data = np.empty(shape, dtype="<f4")
-            _fill(fh, path, data, 0)
+            data = np.empty((c, h, w), dtype="<f4")
+            got = fh.readinto(data)
+        if got < data.nbytes:  # the file shrank after the size check
+            ended = got // (4 * h * w)  # the channel it ended in, as a range of one
+            raise TruncatedPayload(f"{path}: payload ends inside channels {ended}-{ended}")
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     return FeatureMap(data)

@@ -7,6 +7,7 @@ pool, and in one-row blocks in order on one worker.
 """
 
 import contextlib
+import functools
 import tempfile
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sliding_stats_oracle
-from tlc import _parallel, fusion
+from tlc import _parallel, cli, fusion
 from tlc.cli import main
 from tlc.demo import wiener_restore
 from tlc.errors import EmptyWindowSample, MalformedHeader, NonFiniteValue, TruncatedPayload
@@ -35,7 +36,7 @@ from tlc.modules import (
     norm_forward,
     se_forward,
 )
-from tlc.tensor import FeatureMap, WindowSpec, _read_float32, psnr, read_tensor, write_tensor
+from tlc.tensor import FeatureMap, WindowSpec, psnr, read_tensor, write_tensor
 
 PARITY = settings(derandomize=True, deadline=None, database=None, max_examples=40)
 MODES = ["unblocked", "one-row blocks on the pool", "one-row blocks on one worker"]
@@ -283,15 +284,20 @@ def test_gates_keep_float64_values(how, window):
     assert psnr(x, FeatureMap(np.ones((4, 9, 11))), 1.0).mse == 2.0 ** -80
 
 
-# --- convert's float32 input ------------------------------------------------
+# --- the float32 TLCT input --------------------------------------------------
 
 
-def test_float32_reader_equals_read_tensor_and_shares_its_checks(tmp_path):
-    x = np.random.default_rng(7).standard_normal((5, 6, 7)).astype(np.float32)
+def test_read_tensor_keeps_the_payload_bits_as_float32_and_checks_the_file(tmp_path):
+    # Every finite float32 bit pattern class: normals of any exponent,
+    # subnormals and both zeros.
+    bits = np.random.default_rng(7).integers(0, 2**32, (5, 6, 7), dtype=np.uint32)
+    bits[0, 0, :4] = [0x00000000, 0x80000000, 0x00000001, 0x807FFFFF]
+    bits[(bits & 0x7F800000) == 0x7F800000] ^= 0x40000000  # no NaN or Inf
+    payload = bits.astype("<u4").tobytes()
     path = tmp_path / "x.tlct"
-    write_tensor(FeatureMap(x), path)
-    got = _read_float32(path)
-    assert got.data.dtype == np.float32 and np.array_equal(got.data, read_tensor(path).data)
+    path.write_bytes(b"TLCT" + np.array([1, 5, 6, 7], dtype="<u4").tobytes() + payload)
+    got = read_tensor(path)
+    assert got.data.dtype == np.float32 and got.data.tobytes() == payload
     full = path.read_bytes()
     bad = [
         (full[:10], MalformedHeader),
@@ -301,9 +307,53 @@ def test_float32_reader_equals_read_tensor_and_shares_its_checks(tmp_path):
     ]
     for content, error in bad:
         path.write_bytes(content)
-        for reader in (read_tensor, _read_float32):
-            with pytest.raises(error):
-                reader(path)
+        with pytest.raises(error):
+            read_tensor(path)
+
+
+CLI_CASES = {
+    "mean": ["aggregate", "--stat", "mean", "--k", "7", "11"],
+    "mean-k1": ["aggregate", "--stat", "mean", "--k", "1", "1"],
+    "mean-brute": ["aggregate", "--stat", "mean", "--k", "7", "11", "--brute-force"],
+    "var": ["aggregate", "--stat", "var", "--k", "7", "11"],
+    "var-brute": ["aggregate", "--stat", "var", "--k", "7", "11", "--brute-force"],
+    "max": ["aggregate", "--stat", "max", "--k", "7", "11"],
+    "max-covering": ["aggregate", "--stat", "max", "--k", "300", "300"],
+    "strided-mean": ["aggregate", "--stat", "strided-mean", "--k", "7", "11"],
+    "strided-mean-r3": ["aggregate", "--stat", "strided-mean", "--k", "7", "11", "--r", "3"],
+    "identity": ["fuse", "--transform", "identity", "--k", "8", "12", "--stride", "5", "7"],
+    "attention": ["fuse", "--transform", "attention", "--k", "8", "12", "--stride", "5", "7",
+                  "--temperature", "0.5"],
+    "mean-broadcast": ["fuse", "--transform", "mean-broadcast", "--k", "8", "12"],
+}
+
+
+@pytest.mark.parametrize("how", MODES)
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_on_a_tlct_input_writes_what_its_float64_widening_writes(tmp_path, monkeypatch,
+                                                                     how, case):
+    x = np.random.default_rng(11).standard_normal((5, 37, 53)) * 3.0 + 50.0
+    write_tensor(FeatureMap(x), tmp_path / "x.tlct")
+    read, held = cli.read_tensor, []
+
+    def reader(path, widen):
+        fmap = read(path)
+        held.append(fmap.data.dtype)
+        return FeatureMap(fmap.data.astype(np.float64)) if widen else fmap
+
+    outputs = []
+    for widen in (False, True):
+        out = tmp_path / f"widen-{widen}"
+        out.mkdir()
+        argv = CLI_CASES[case] + ["--input", str(tmp_path / "x.tlct")]
+        argv += (["--output", str(out / "stat.tlct")] if argv[0] == "aggregate"
+                 else ["--outdir", str(out)])
+        monkeypatch.setattr(cli, "read_tensor", functools.partial(reader, widen=widen))
+        with mode(how):
+            assert main(argv) == 0
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert held == [np.float32, np.float32]
+    assert len(outputs[0]) == 2 and outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("module", ["se", "cbam", "gn", "in", "ge"])
@@ -313,7 +363,7 @@ def test_convert_writes_the_float64_forwards(tmp_path, module, k):
     c = 4
     x = rng.standard_normal((c, 19, 23)) * 2.0 + 50.0
     write_tensor(FeatureMap(x), tmp_path / "x.tlct")
-    ref = read_tensor(tmp_path / "x.tlct")
+    ref = FeatureMap(read_tensor(tmp_path / "x.tlct").data.astype(np.float64))
     # Parameters as the manifests store them, in float32.
     reduce_w, expand_w, gamma, beta = (
         a.astype(np.float32).astype(np.float64)

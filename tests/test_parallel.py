@@ -417,7 +417,7 @@ def test_blocked_tlct_round_trip_is_bit_exact(tmp_path, blocks_of_two_channels, 
     write_tensor(FeatureMap(arr), path)
     assert path.read_bytes()[20:] == arr.astype("<f4").tobytes(order="C")
     back = read_tensor(path)
-    assert back.data.dtype == np.float64 and np.array_equal(back.data, arr)
+    assert back.data.dtype == np.float32 and np.array_equal(back.data, arr)
     assert blocks_of_two_channels.tasks > 0
 
 
